@@ -40,6 +40,14 @@ use crate::stats::LotusStats;
 use crate::structure::LotusGraph;
 use crate::tiling::{make_tiles, Tile};
 
+/// Fewest vertices or tiles per pool chunk in the counting,
+/// preprocessing, per-vertex and k-clique loops. A large graph still
+/// splits into many chunks, which idle threads steal from the hub-heavy
+/// front; a graph of under twice this many vertices (a served
+/// request's, say) counts inline on the calling thread, whose peers are
+/// busy with requests of their own.
+pub(crate) const PAR_GRAIN: usize = 1024;
+
 /// Result of a LOTUS run: per-type counts and per-phase timings.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LotusResult {
@@ -424,6 +432,7 @@ fn unwrap_phase<C: Copy>(
 fn count_hub_pairs(lg: &LotusGraph, tiles: &[Tile]) -> (u64, u64) {
     tiles
         .par_iter()
+        .with_min_len(PAR_GRAIN)
         .map(|t| {
             let found = count_tile(&lg.h2h, lg.hub_neighbors(t.v), t);
             if lg.is_hub(t.v) {
@@ -472,6 +481,7 @@ fn count_tile(h2h: &TriBitArray, he: &[u16], tile: &Tile) -> u64 {
 fn count_hnn(lg: &LotusGraph) -> u64 {
     (0..lg.num_vertices())
         .into_par_iter()
+        .with_min_len(PAR_GRAIN)
         .map(|v| {
             let he_v = lg.hub_neighbors(v);
             if he_v.is_empty() {
@@ -491,6 +501,7 @@ fn count_hnn(lg: &LotusGraph) -> u64 {
 fn count_nnn(lg: &LotusGraph) -> u64 {
     (0..lg.num_vertices())
         .into_par_iter()
+        .with_min_len(PAR_GRAIN)
         .map(|v| {
             let nhe_v = lg.nonhub_neighbors(v);
             rayon::sched::log_read(nhe_v, "phase3.nhe");
@@ -515,6 +526,7 @@ fn count_hub_pairs_guarded(
     let stopped = AtomicBool::new(false);
     let partial = tiles
         .par_iter()
+        .with_min_len(PAR_GRAIN)
         .enumerate()
         .map(|(i, t)| {
             if stopped.load(Ordering::Relaxed) {
@@ -544,6 +556,7 @@ fn count_hnn_guarded(lg: &LotusGraph, guard: &RunGuard) -> Result<u64, (StopReas
     let stopped = AtomicBool::new(false);
     let partial = (0..lg.num_vertices())
         .into_par_iter()
+        .with_min_len(PAR_GRAIN)
         .map(|v| {
             if stopped.load(Ordering::Relaxed) {
                 return 0;
@@ -576,6 +589,7 @@ fn count_nnn_guarded(lg: &LotusGraph, guard: &RunGuard) -> Result<u64, (StopReas
     let stopped = AtomicBool::new(false);
     let partial = (0..lg.num_vertices())
         .into_par_iter()
+        .with_min_len(PAR_GRAIN)
         .map(|v| {
             if stopped.load(Ordering::Relaxed) {
                 return 0;
@@ -604,6 +618,7 @@ fn count_nnn_guarded(lg: &LotusGraph, guard: &RunGuard) -> Result<u64, (StopReas
 fn count_hnn_nnn_fused(lg: &LotusGraph) -> (u64, u64) {
     (0..lg.num_vertices())
         .into_par_iter()
+        .with_min_len(PAR_GRAIN)
         .map(|v| {
             let he_v = lg.hub_neighbors(v);
             let nhe_v = lg.nonhub_neighbors(v);

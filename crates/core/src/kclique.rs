@@ -13,6 +13,7 @@ use rayon::prelude::*;
 use lotus_graph::{Csr, UndirectedCsr};
 
 use crate::config::LotusConfig;
+use crate::count::PAR_GRAIN;
 use crate::preprocess::build_lotus_graph;
 
 /// Counts k-cliques. `k = 1` returns `|V|`, `k = 2` returns `|E|`.
@@ -33,6 +34,7 @@ pub fn count_oriented_kcliques(forward: &Csr<u32>, k: usize) -> u64 {
     assert!(k >= 3);
     (0..forward.num_vertices())
         .into_par_iter()
+        .with_min_len(PAR_GRAIN)
         .map(|v| {
             let cand = forward.neighbors(v);
             if cand.len() + 1 < k {

@@ -13,6 +13,7 @@ use rayon::prelude::*;
 
 use lotus_algos::intersect::merge::merge_for_each;
 
+use crate::count::PAR_GRAIN;
 use crate::structure::LotusGraph;
 use crate::tiling::{make_tiles, Tile};
 
@@ -24,24 +25,33 @@ pub fn count_per_vertex(lg: &LotusGraph) -> Vec<u64> {
 
     // Phase 1: HHH + HHN — corners are (v, h1, h2).
     let tiles = make_tiles(&lg.he, u32::MAX, 1);
-    tiles.par_iter().for_each(|t: &Tile| {
-        let he = lg.hub_neighbors(t.v);
-        rayon::sched::log_read(he, "per_vertex.phase1.he");
-        for i in t.begin..t.end {
-            let h1 = he[i as usize] as u32;
-            let base = crate::h2h::TriBitArray::row_base(h1);
-            for &h2 in &he[..i as usize] {
-                if lg.h2h.is_set_with_base(base, h2 as u32) {
-                    counts[t.v as usize].fetch_add(1, Ordering::Relaxed);
-                    counts[h1 as usize].fetch_add(1, Ordering::Relaxed);
-                    counts[h2 as usize].fetch_add(1, Ordering::Relaxed);
+    tiles
+        .par_iter()
+        .with_min_len(PAR_GRAIN)
+        .for_each(|t: &Tile| {
+            let he = lg.hub_neighbors(t.v);
+            rayon::sched::log_read(he, "per_vertex.phase1.he");
+            for i in t.begin..t.end {
+                let h1 = he[i as usize] as u32;
+                let base = crate::h2h::TriBitArray::row_base(h1);
+                for &h2 in &he[..i as usize] {
+                    if lg.h2h.is_set_with_base(base, h2 as u32) {
+                        counts[t.v as usize].fetch_add(1, Ordering::Relaxed);
+                        counts[h1 as usize].fetch_add(1, Ordering::Relaxed);
+                        counts[h2 as usize].fetch_add(1, Ordering::Relaxed);
+                    }
                 }
             }
-        }
-    });
+        });
+
+    let vertices = || {
+        (0..lg.num_vertices())
+            .into_par_iter()
+            .with_min_len(PAR_GRAIN)
+    };
 
     // Phase 2: HNN — corners are (v, u, h).
-    (0..lg.num_vertices()).into_par_iter().for_each(|v| {
+    vertices().for_each(|v| {
         let he_v = lg.hub_neighbors(v);
         if he_v.is_empty() {
             return;
@@ -57,7 +67,7 @@ pub fn count_per_vertex(lg: &LotusGraph) -> Vec<u64> {
     });
 
     // Phase 3: NNN — corners are (v, u, w).
-    (0..lg.num_vertices()).into_par_iter().for_each(|v| {
+    vertices().for_each(|v| {
         let nhe_v = lg.nonhub_neighbors(v);
         rayon::sched::log_read(nhe_v, "per_vertex.phase3.nhe");
         for &u in nhe_v {

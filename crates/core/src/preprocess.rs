@@ -20,6 +20,7 @@ use lotus_graph::{Csr, Relabeling, UndirectedCsr};
 use lotus_resilience::{fault_point, RunGuard, StopReason};
 
 use crate::config::LotusConfig;
+use crate::count::PAR_GRAIN;
 use crate::h2h::TriBitArrayBuilder;
 use crate::structure::LotusGraph;
 
@@ -69,6 +70,7 @@ pub fn build_lotus_graph_guarded(
     he_deg
         .par_iter_mut()
         .zip(nhe_deg.par_iter_mut())
+        .with_min_len(PAR_GRAIN)
         .enumerate()
         .for_each(|(v_new, (he_d, nhe_d))| {
             let v_new = v_new as u32;
@@ -121,6 +123,7 @@ pub fn build_lotus_graph_guarded(
         he_slices
             .into_par_iter()
             .zip(nhe_slices.into_par_iter())
+            .with_min_len(PAR_GRAIN)
             .enumerate()
             .for_each(|(v_new, (he_out, nhe_out))| {
                 let v_new = v_new as u32;

@@ -34,7 +34,6 @@
 //! around `std::sync` — no atomics, no thread-locals, no edges.
 
 use crate::json::Json;
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Condvar, LockResult, Mutex, MutexGuard, PoisonError};
 
@@ -389,6 +388,7 @@ pub enum WitnessFilter<'a> {
 pub fn witness_report(filter: WitnessFilter<'_>) -> WitnessReport {
     #[cfg(any(debug_assertions, feature = "lock-witness"))]
     {
+        use std::collections::BTreeSet;
         let w = state::WITNESS
             .lock()
             .unwrap_or_else(PoisonError::into_inner);

@@ -33,9 +33,22 @@ pub mod sched;
 
 pub use pool::configure_threads;
 
-/// Terminals with fewer items than this run inline: chunking overhead
-/// dominates below it.
+/// Fewest items per pool chunk where the call site sets no
+/// `with_min_len`: chunking overhead dominates below it.
 const MIN_PAR_ITEMS: usize = 32;
+
+/// Fewest pool chunks per executor in a terminal of at least
+/// [`MIN_PAR_ITEMS`] items that sets no `with_min_len`.
+const MIN_CHUNKS_PER_THREAD: usize = 4;
+
+/// Most pool chunks per executor in one terminal. Fine enough that idle
+/// executors can balance a region whose work is skewed towards some of
+/// its items (hub-first relabeling puts the heaviest vertices first).
+const CHUNKS_PER_THREAD: usize = 64;
+
+/// Least memory a pipeline's source gives back at a time while it is cut
+/// into chunks (see `split_chunks`).
+const SHRINK_STEP_BYTES: usize = 1 << 20;
 
 /// Slices shorter than this sort sequentially.
 const MIN_PAR_SORT: usize = 4096;
@@ -203,6 +216,9 @@ pub struct Par<T, X> {
     items: Vec<T>,
     xform: X,
     sched: Option<SchedInfo>,
+    /// Fewest items per pool chunk, set by
+    /// [`IndexedParallelIterator::with_min_len`]; 0 when unset.
+    min_len: usize,
 }
 
 impl<T> Par<T, IdentityX> {
@@ -218,6 +234,7 @@ impl<T> Par<T, IdentityX> {
             items,
             xform: IdentityX,
             sched,
+            min_len: 0,
         }
     }
 
@@ -229,6 +246,7 @@ impl<T> Par<T, IdentityX> {
             items,
             xform: IdentityX,
             sched: None,
+            min_len: 0,
         }
     }
 }
@@ -417,11 +435,13 @@ where
         items,
         xform,
         sched: info,
+        min_len,
     } = par;
 
     if let Some(info) = info {
         // Deterministic replay: one chunk per logical task, permuted
-        // execution order, original-index attribution.
+        // execution order, original-index attribution. `min_len` does
+        // not apply: every item stays a task of its own.
         let mut slots: Vec<Option<T>> = items.into_iter().map(Some).collect();
         let mut parts: Vec<(u32, C::Out)> = Vec::with_capacity(slots.len());
         for &task in &info.perm {
@@ -446,25 +466,20 @@ where
             .unwrap_or_else(|| consumer.consume(std::iter::empty()));
     }
 
-    let threads = pool::effective_threads();
-    if sched::is_scheduled() || threads <= 1 || items.len() < MIN_PAR_ITEMS {
+    let n = items.len();
+    let chunks = if sched::is_scheduled() {
+        1
+    } else {
+        chunk_count(n, pool::effective_threads(), min_len)
+    };
+    if chunks <= 1 {
         return consumer.consume(xform.apply(0, items).into_iter());
     }
 
     // Chunked execution on the pool; merge partials in chunk order.
-    let n = items.len();
-    let chunk_size = n.div_ceil((threads * 4).min(n));
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(n.div_ceil(chunk_size));
-    let mut it = items.into_iter();
-    loop {
-        let chunk: Vec<T> = it.by_ref().take(chunk_size).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        chunks.push(chunk);
-    }
+    let chunk_size = n.div_ceil(chunks);
     let xform = &xform;
-    let parts = pool::run(chunks, move |idx, chunk| {
+    let parts = pool::run(split_chunks(items, chunk_size), move |idx, chunk| {
         let base = idx as usize * chunk_size;
         consumer.consume(xform.apply(base, chunk).into_iter())
     });
@@ -472,6 +487,50 @@ where
         .into_iter()
         .reduce(|a, b| consumer.merge(a, b))
         .unwrap_or_else(|| consumer.consume(std::iter::empty()))
+}
+
+/// How many pool chunks a terminal over `n` items is cut into on
+/// `threads` executors: up to [`CHUNKS_PER_THREAD`] per executor, so an
+/// executor that runs out of work finds chunks left to steal.
+///
+/// A call site's `min_len` (0 when unset) bounds every chunk from below;
+/// a pipeline shorter than twice that runs inline. Unset, a chunk holds
+/// at least [`MIN_PAR_ITEMS`] items, except that a short pipeline is
+/// still cut into [`MIN_CHUNKS_PER_THREAD`] chunks per executor: its few
+/// items are heavy ones (generator blocks, say), or it would not be
+/// parallel, and an executor that falls behind must leave some to steal.
+fn chunk_count(n: usize, threads: usize, min_len: usize) -> usize {
+    if threads <= 1 {
+        return 1;
+    }
+    let most = threads * CHUNKS_PER_THREAD;
+    match n.checked_div(min_len) {
+        Some(chunks) => chunks.min(most),
+        None if n < MIN_PAR_ITEMS => 1,
+        None => (n / MIN_PAR_ITEMS)
+            .max(threads * MIN_CHUNKS_PER_THREAD)
+            .min(most)
+            .min(n),
+    }
+}
+
+/// Cuts `items` into chunks of `size` (the last may be shorter), in
+/// order. Chunks are split off the tail, and the source gives back its
+/// memory in steps of at least [`SHRINK_STEP_BYTES`], so a large source
+/// is never held twice; a small one is freed at the end, which spares
+/// the allocator a shrinking reallocation per chunk.
+fn split_chunks<T>(mut items: Vec<T>, size: usize) -> Vec<Vec<T>> {
+    let step = SHRINK_STEP_BYTES / std::mem::size_of::<T>().max(1);
+    let mut chunks = Vec::with_capacity(items.len().div_ceil(size));
+    while !items.is_empty() {
+        let at = (items.len() - 1) / size * size;
+        chunks.push(items.split_off(at));
+        if items.capacity() - items.len() >= step {
+            items.shrink_to_fit();
+        }
+    }
+    chunks.reverse();
+    chunks
 }
 
 /// The rayon `ParallelIterator` adapter/terminal surface.
@@ -497,6 +556,7 @@ pub trait ParallelIterator: Sized {
             items: p.items,
             xform: MapX { inner: p.xform, f },
             sched: p.sched,
+            min_len: p.min_len,
         }
     }
 
@@ -510,6 +570,7 @@ pub trait ParallelIterator: Sized {
             items: p.items,
             xform: FilterX { inner: p.xform, f },
             sched: p.sched,
+            min_len: p.min_len,
         }
     }
 
@@ -526,6 +587,7 @@ pub trait ParallelIterator: Sized {
             items: p.items,
             xform: FlatMapX { inner: p.xform, f },
             sched: p.sched,
+            min_len: p.min_len,
         }
     }
 
@@ -541,6 +603,7 @@ pub trait ParallelIterator: Sized {
             items: p.items,
             xform: EnumerateX,
             sched: p.sched,
+            min_len: p.min_len,
         }
     }
 
@@ -574,6 +637,7 @@ pub trait ParallelIterator: Sized {
             items,
             xform: IdentityX,
             sched,
+            min_len: a.min_len.max(b.min_len),
         }
     }
 
@@ -588,6 +652,7 @@ pub trait ParallelIterator: Sized {
             items: p.items,
             xform: CopiedX { inner: p.xform },
             sched: p.sched,
+            min_len: p.min_len,
         }
     }
 
@@ -602,6 +667,7 @@ pub trait ParallelIterator: Sized {
             items: p.items,
             xform: ClonedX { inner: p.xform },
             sched: p.sched,
+            min_len: p.min_len,
         }
     }
 
@@ -714,9 +780,20 @@ where
     }
 }
 
-/// Marker mirroring rayon's `IndexedParallelIterator` (every pipeline
-/// here is backed by a materialized, indexable source).
-pub trait IndexedParallelIterator: ParallelIterator {}
+/// Mirrors rayon's `IndexedParallelIterator` (every pipeline here is
+/// backed by a materialized, indexable source).
+pub trait IndexedParallelIterator: ParallelIterator {
+    /// Sets the fewest source items one pool chunk may hold (rayon:
+    /// `with_min_len`); a pipeline shorter than twice `min` runs inline
+    /// on the calling thread. It only coarsens the split: under
+    /// [`sched::with_schedule`] every item is still a task of its own.
+    fn with_min_len(self, min: usize) -> Par<Self::SrcItem, Self::Xform> {
+        Par {
+            min_len: min.max(1),
+            ..self.into_par()
+        }
+    }
+}
 
 impl<T, X> IndexedParallelIterator for Par<T, X>
 where
@@ -859,10 +936,9 @@ where
     }
 
     let chunk_size = n.div_ceil(threads);
-    let idx_chunks: Vec<Vec<u32>> = (0..n as u32)
-        .collect::<Vec<u32>>()
-        .chunks(chunk_size)
-        .map(<[u32]>::to_vec)
+    let idx_chunks: Vec<Vec<u32>> = (0..n)
+        .step_by(chunk_size)
+        .map(|lo| (lo as u32..(lo + chunk_size).min(n) as u32).collect())
         .collect();
     let shared: &[T] = data;
     let by_index =
@@ -1067,6 +1143,7 @@ mod tests {
 
     #[test]
     fn par_sort_large_is_correct_on_the_pool() {
+        let _g = pool::limit_lock();
         let pool = ThreadPoolBuilder::new()
             .num_threads(4)
             .build()
@@ -1084,6 +1161,7 @@ mod tests {
 
     #[test]
     fn parallel_terminals_match_sequential_on_the_pool() {
+        let _g = pool::limit_lock();
         let pool = ThreadPoolBuilder::new()
             .num_threads(4)
             .build()
@@ -1115,6 +1193,7 @@ mod tests {
 
     #[test]
     fn nested_parallel_for_inside_a_task() {
+        let _g = pool::limit_lock();
         let pool = ThreadPoolBuilder::new()
             .num_threads(4)
             .build()
@@ -1147,6 +1226,78 @@ mod tests {
             pairs,
             (0u32..64).map(|x| (x as usize, x)).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn scheduled_min_len_keeps_one_task_per_item() {
+        let v: Vec<u32> = (0..64).collect();
+        let shared = [0u8; 1];
+        let (pairs, report) = sched::with_schedule(3, || {
+            v.par_iter()
+                .with_min_len(64)
+                .enumerate()
+                .map(|(i, &x)| {
+                    sched::log_write(&shared, "shared");
+                    (i, x)
+                })
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(report.regions, 1);
+        assert_eq!(
+            pairs,
+            (0u32..64).map(|x| (x as usize, x)).collect::<Vec<_>>()
+        );
+        // Merged into one chunk-sized task, the 64 writes to one byte
+        // would never conflict; as 64 tasks, every pair does.
+        assert!(!report.is_clean(), "with_min_len merged replay tasks");
+    }
+
+    #[test]
+    fn chunk_count_follows_the_grain() {
+        // Off the pool, or too short for two chunks: inline.
+        assert_eq!(chunk_count(1 << 20, 1, 0), 1);
+        assert_eq!(chunk_count(MIN_PAR_ITEMS - 1, 4, 0), 1);
+        assert_eq!(chunk_count(512, 2, 1024), 0);
+        // A few heavy items are still cut finely enough to balance.
+        assert_eq!(chunk_count(64, 2, 0), 8);
+        assert_eq!(chunk_count(40, 4, 0), 16);
+        // Large pipelines: capped per executor, bounded by the grain.
+        assert_eq!(chunk_count(1 << 18, 2, 0), 2 * CHUNKS_PER_THREAD);
+        assert_eq!(chunk_count(1 << 18, 2, 1 << 12), 64);
+        assert_eq!(chunk_count(4096, 2, 1024), 4);
+    }
+
+    #[test]
+    fn split_chunks_keeps_order() {
+        let chunks = split_chunks((0..10u32).collect(), 4);
+        assert_eq!(chunks, vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7], vec![8, 9]]);
+        assert!(split_chunks(Vec::<u32>::new(), 4).is_empty());
+    }
+
+    #[test]
+    fn with_min_len_matches_sequential_on_the_pool() {
+        let _g = pool::limit_lock();
+        let pool = ThreadPoolBuilder::new()
+            .num_threads(4)
+            .build()
+            .expect("pool");
+        pool.install(|| {
+            for grain in [1, 7, 1024, 1 << 20] {
+                let s: u64 = (0u64..10_000)
+                    .into_par_iter()
+                    .with_min_len(grain)
+                    .map(|x| x * 3)
+                    .sum();
+                assert_eq!(s, (0u64..10_000).map(|x| x * 3).sum(), "grain {grain}");
+                let idx: Vec<usize> = (0u32..3_000)
+                    .into_par_iter()
+                    .with_min_len(grain)
+                    .enumerate()
+                    .map(|(i, _)| i)
+                    .collect();
+                assert_eq!(idx, (0..3_000).collect::<Vec<_>>(), "grain {grain}");
+            }
+        });
     }
 
     #[test]
@@ -1192,6 +1343,7 @@ mod tests {
 
     #[test]
     fn pool_installs_a_thread_limit() {
+        let _g = pool::limit_lock();
         let pool = ThreadPoolBuilder::new()
             .num_threads(4)
             .build()
@@ -1209,6 +1361,7 @@ mod tests {
 
     #[test]
     fn worker_panic_reaches_the_caller_and_pool_survives() {
+        let _g = pool::limit_lock();
         let pool = ThreadPoolBuilder::new()
             .num_threads(4)
             .build()

@@ -1,21 +1,28 @@
 //! The work-stealing thread pool behind the rayon-compatible surface.
 //!
 //! One process-global pool, spawned lazily on first parallel use. Each
-//! worker owns a chunk deque (`Mutex<VecDeque<Entry>>`); an [`Entry`] is
-//! a *range* of chunk indices into one region's payload table, so
-//! steal-half is a constant-time range split and never copies work
-//! items. Workers pop from the front of their own deque, re-queue the
-//! remainder of a popped range, and steal the far half of another
-//! worker's front entry when idle. Idle workers park on a condvar with a
+//! worker owns a chunk deque (`Mutex<VecDeque<Entry>>`), and one more
+//! deque holds the shares of driving threads that are not workers. An
+//! [`Entry`] is a *range* of chunk indices into one region's payload
+//! table, so steal-half is a constant-time range split and never copies
+//! work items. Workers pop from the front of their own deque, re-queue
+//! the remainder of a popped range, and steal the far half of another
+//! deque's front entry when idle. Idle workers park on a condvar with a
 //! timeout backstop, so a missed wakeup costs latency, never progress.
 //!
 //! A parallel region is driven by the thread that called into the shim
-//! (see [`run`]): it keeps the first range for itself, deals the rest to
-//! the workers, executes its share, then *sweeps* the deques for any of
-//! its own unclaimed entries before blocking on the region's completion
-//! latch. The sweep is what makes nested regions deadlock-free: a driver
-//! never waits on a chunk that no running thread has claimed — it takes
-//! the chunk back and runs it itself.
+//! (see [`run`]). It deals the chunks into contiguous ranges, one per
+//! executor, and queues every range as a stealable entry — its own share
+//! included, in its home deque (its worker deque, or the shared driver
+//! deque). It then *claims* its region's chunks one at a time from the
+//! front of whichever of its entries is still queued, home first, and
+//! blocks on the region's completion latch only when none is left.
+//! Claiming one chunk at a time leaves the far end of every range
+//! stealable, so idle workers take over a region whose work sits in the
+//! driver's share (hub-first relabeling puts it there). Claiming is also
+//! what makes nested regions deadlock-free: a driver never waits on a
+//! chunk that no running thread has claimed — it takes the chunk back and
+//! runs it itself.
 //!
 //! A panic inside a chunk is caught per-chunk, poisons the region
 //! (remaining chunk bodies are skipped), and is re-thrown on the driver
@@ -23,6 +30,7 @@
 //! `catch_unwind` isolation still surfaces it as a `PhasePanic`, and the
 //! workers themselves survive for the next region.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -34,16 +42,31 @@ use lotus_telemetry::counters::{self, Counter};
 /// Upper bound on pool worker threads (executors = workers + driver).
 const MAX_WORKERS: usize = 63;
 
+/// Index of the deque that holds the shares of driving threads that are
+/// not pool workers; also their executor id in [`Entry::dealt`].
+const DRIVERS: usize = MAX_WORKERS;
+
 /// How long a parked worker sleeps before re-checking for work. A pure
 /// backstop: pushes notify the condvar, so this only bounds the cost of
 /// a lost wakeup.
 const PARK_TIMEOUT: Duration = Duration::from_millis(50);
 
-/// How long a driver waits on the completion latch between sweeps.
+/// How long a driver waits on the completion latch between claims.
 const DRIVER_WAIT: Duration = Duration::from_millis(1);
 
 /// Requested thread count; 0 means "use available parallelism".
 static LIMIT: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// The pool worker index of the current thread, if it is a worker.
+    static WORKER: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// The current thread's executor id, which is also its home deque: its
+/// worker index, or [`DRIVERS`] for any other thread.
+fn home() -> usize {
+    WORKER.with(Cell::get).unwrap_or(DRIVERS)
+}
 
 /// Locks a mutex, recovering the guard if a panicking thread poisoned
 /// it (the pool's shared state stays consistent under per-chunk
@@ -88,6 +111,13 @@ pub(crate) fn install_limit<R>(n: usize, op: impl FnOnce() -> R) -> R {
     op()
 }
 
+/// Runs one chunk of a region: `(state, chunk index, stolen)`, where
+/// `stolen` says the chunk runs on an executor other than the one its
+/// range was dealt to.
+// SAFETY: callers pass the `state` of the entry or region the function
+// was taken from, which is `exec_chunk`'s contract.
+type ExecFn = unsafe fn(*const (), u32, bool);
+
 /// One schedulable unit: chunks `lo..hi` of the region behind `state`.
 #[derive(Clone, Copy)]
 struct Entry {
@@ -97,22 +127,29 @@ struct Entry {
     // SAFETY: the pointer is only ever called with this entry's own
     // `state`, satisfying `exec_chunk`'s contract (see the `Send`
     // justification below for why the region outlives the entry).
-    exec: unsafe fn(*const (), u32),
+    exec: ExecFn,
     lo: u32,
     hi: u32,
+    /// Executor id the range was dealt to (a worker index or
+    /// [`DRIVERS`]); kept through splits, so a chunk run anywhere else
+    /// counts as a steal.
+    dealt: usize,
 }
 
 // SAFETY: `state` points into the driving thread's stack frame, which
 // outlives every Entry referring to it: `run` does not return until the
 // region's completion latch (set under `done`'s mutex by the thread that
 // executes the last chunk) has been observed, and an Entry exists in a
-// deque only while its chunks are unexecuted — every pop either runs the
-// chunks or re-queues the remainder, and the driver's sweep reclaims
-// stranded entries before each latch wait.
+// deque only while its chunks are unexecuted — every pop, steal or claim
+// either runs the chunks it took or re-queues the remainder, and the
+// driver keeps claiming its region's queued chunks before each latch
+// wait. The other fields are plain data.
 unsafe impl Send for Entry {}
 
-/// The process-global pool: per-worker deques plus the park/wake state.
+/// The process-global pool: per-worker deques, the shared driver deque,
+/// plus the park/wake state.
 struct Pool {
+    /// `MAX_WORKERS` worker deques, then the [`DRIVERS`] deque.
     deques: Vec<Mutex<VecDeque<Entry>>>,
     /// Count of currently parked workers, guarded with the wake condvar.
     sleep: Mutex<usize>,
@@ -127,9 +164,7 @@ struct Pool {
 fn pool() -> &'static Pool {
     static POOL: OnceLock<Pool> = OnceLock::new();
     POOL.get_or_init(|| Pool {
-        deques: (0..MAX_WORKERS)
-            .map(|_| Mutex::new(VecDeque::new()))
-            .collect(),
+        deques: (0..=DRIVERS).map(|_| Mutex::new(VecDeque::new())).collect(),
         sleep: Mutex::new(0),
         wake: Condvar::new(),
         pending: AtomicUsize::new(0),
@@ -138,8 +173,8 @@ fn pool() -> &'static Pool {
 }
 
 /// Spawns workers until at least `k` exist (capped at [`MAX_WORKERS`]).
-/// A failed spawn is tolerated: entries dealt to a missing worker are
-/// reclaimed by the driver's sweep.
+/// A failed spawn is tolerated: the region runs on the executors that
+/// exist.
 fn ensure_workers(k: usize) {
     let p = pool();
     let mut spawned = lock(&p.spawned);
@@ -166,17 +201,13 @@ fn wake_all() {
 }
 
 fn worker_loop(me: usize) {
+    WORKER.with(|w| w.set(Some(me)));
     let p = pool();
     loop {
         // Workers beyond the active limit park until reconfigured.
         let active = me + 1 < effective_threads();
         if active {
-            if let Some(e) = pop_own(p, me) {
-                process(p, me, e);
-                continue;
-            }
-            if let Some(e) = steal(p, me) {
-                counters::add(Counter::PoolSteals, 1);
+            if let Some(e) = pop_own(p, me).or_else(|| steal(p, me)) {
                 process(p, me, e);
                 continue;
             }
@@ -210,8 +241,9 @@ fn pop_own(p: &Pool, me: usize) -> Option<Entry> {
     e
 }
 
-/// Steals the far half of another worker's front entry (or the whole
-/// entry if it holds a single chunk).
+/// Steals the far half of another deque's front entry (or the whole
+/// entry if it holds a single chunk). The driver deque is a victim like
+/// any worker's, so a driver's own share is stealable too.
 fn steal(p: &Pool, me: usize) -> Option<Entry> {
     let n = p.deques.len();
     for k in 1..n {
@@ -245,7 +277,28 @@ fn process(p: &Pool, me: usize, e: Entry) {
     counters::add(Counter::PoolTasks, 1);
     // SAFETY: the entry came from a deque, so its region is still live
     // (see the `Send` justification on `Entry`).
-    unsafe { (e.exec)(e.state, e.lo) };
+    unsafe { (e.exec)(e.state, e.lo, e.dealt != me) };
+}
+
+/// Takes the front chunk of one of region `state`'s queued entries —
+/// from deque `home` first, then from any other — and leaves the rest
+/// of that entry queued, where idle workers can still steal its far
+/// half. Returns the chunk index and whether the chunk's range was dealt
+/// to an executor other than `home`.
+fn claim(p: &Pool, home: usize, state: *const ()) -> Option<(u32, bool)> {
+    let n = p.deques.len();
+    (0..n).map(|k| (home + k) % n).find_map(|d| {
+        let mut dq = lock(&p.deques[d]);
+        let pos = dq.iter().position(|e| std::ptr::eq(e.state, state))?;
+        let e = &mut dq[pos];
+        let (idx, dealt) = (e.lo, e.dealt);
+        e.lo += 1;
+        if e.lo == e.hi {
+            dq.remove(pos);
+            p.pending.fetch_sub(1, Ordering::AcqRel);
+        }
+        Some((idx, dealt != home))
+    })
 }
 
 /// Shared state of one in-flight parallel region, owned by the driving
@@ -258,6 +311,9 @@ struct RegionState<T, R, F> {
     /// Chunks not yet executed (or skipped); the completion latch arms
     /// when this reaches zero.
     remaining: AtomicUsize,
+    /// Chunks run by an executor other than the one their range was
+    /// dealt to. A statistic, read by the driver after the latch.
+    steals: AtomicUsize,
     /// Set on the first panic; later chunk bodies are skipped.
     poisoned: AtomicBool,
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
@@ -268,14 +324,18 @@ struct RegionState<T, R, F> {
     done_cv: Condvar,
 }
 
-/// Executes chunk `idx` of the region behind `state`.
+/// Executes chunk `idx` of the region behind `state`; `stolen` counts
+/// it as a steal.
 ///
 /// # Safety
 /// `state` must point to a live `RegionState<T, R, F>` whose payload
 /// table has at least `idx + 1` slots.
-unsafe fn exec_chunk<T, R, F: Fn(u32, T) -> R>(state: *const (), idx: u32) {
+unsafe fn exec_chunk<T, R, F: Fn(u32, T) -> R>(state: *const (), idx: u32, stolen: bool) {
     // SAFETY: guaranteed by the caller contract above.
     let s = unsafe { &*state.cast::<RegionState<T, R, F>>() };
+    if stolen {
+        s.steals.fetch_add(1, Ordering::Relaxed);
+    }
     let payload = lock(&s.payloads[idx as usize]).take();
     if let Some(p) = payload {
         if s.poisoned.load(Ordering::Acquire) {
@@ -301,8 +361,8 @@ unsafe fn exec_chunk<T, R, F: Fn(u32, T) -> R>(state: *const (), idx: u32) {
 }
 
 /// Runs `f` over every payload on the pool and returns the results in
-/// payload order. The calling thread drives: it executes its own share,
-/// reclaims stranded entries, and only then blocks on the completion
+/// payload order. The calling thread drives: it claims its region's
+/// chunks until none is queued, and only then blocks on the completion
 /// latch. If any chunk panicked, the (first) payload is re-thrown here
 /// on the calling thread once all chunks have finished or been skipped.
 pub(crate) fn run<T, R, F>(payloads: Vec<T>, f: F) -> Vec<R>
@@ -311,15 +371,30 @@ where
     R: Send,
     F: Fn(u32, T) -> R + Sync,
 {
+    let (results, steals) = run_counting_steals(payloads, f);
+    counters::add(Counter::PoolSteals, steals as u64);
+    results
+}
+
+/// [`run`], also returning how many chunks ran on an executor other
+/// than the one their range was dealt to.
+fn run_counting_steals<T, R, F>(payloads: Vec<T>, f: F) -> (Vec<R>, usize)
+where
+    T: Send,
+    R: Send,
+    F: Fn(u32, T) -> R + Sync,
+{
     let total = payloads.len();
-    let execs = effective_threads().min(total);
+    let threads = effective_threads();
+    let execs = threads.min(total);
     if execs <= 1 || total == 0 {
         // Inline: sequential semantics, panics propagate naturally.
-        return payloads
+        let results = payloads
             .into_iter()
             .enumerate()
             .map(|(i, p)| f(i as u32, p))
             .collect();
+        return (results, 0);
     }
     ensure_workers(execs - 1);
 
@@ -328,48 +403,58 @@ where
         results: Mutex::new(Vec::with_capacity(total)),
         f,
         remaining: AtomicUsize::new(total),
+        steals: AtomicUsize::new(0),
         poisoned: AtomicBool::new(false),
         panic: Mutex::new(None),
         done: Mutex::new(false),
         done_cv: Condvar::new(),
     };
     let state_ptr: *const () = (&raw const state).cast();
-    let exec = exec_chunk::<T, R, F>;
+    let exec: ExecFn = exec_chunk::<T, R, F>;
 
     let p = pool();
-    let workers = (execs - 1).min(*lock(&p.spawned));
-    // Deal `total` chunks into `workers + 1` contiguous ranges; the
-    // driver keeps the first.
-    let shares = workers + 1;
-    let per = total / shares;
-    let extra = total % shares;
+    let me = home();
+    // Deal `total` chunks into contiguous ranges, one per executor: the
+    // first to the front of the driver's home deque, where idle workers
+    // steal first, the rest to the back of other active workers' deques.
+    let active = lock(&p.spawned).min(threads - 1);
+    let homes: Vec<usize> = std::iter::once(me)
+        .chain((0..active).filter(|&w| w != me))
+        .take(execs)
+        .collect();
+    let per = total / homes.len();
+    let extra = total % homes.len();
     let mut begin = 0u32;
-    let mut own = 0u32..0u32;
-    for share in 0..shares {
+    for (share, &dq) in homes.iter().enumerate() {
         let len = per + usize::from(share < extra);
-        let range = begin..begin + len as u32;
-        begin = range.end;
-        if share == 0 {
-            own = range;
-        } else if !range.is_empty() {
-            lock(&p.deques[share - 1]).push_back(Entry {
+        let end = begin + len as u32;
+        if begin < end {
+            let e = Entry {
                 state: state_ptr,
                 exec,
-                lo: range.start,
-                hi: range.end,
-            });
+                lo: begin,
+                hi: end,
+                dealt: dq,
+            };
+            let mut dq = lock(&p.deques[dq]);
+            if share == 0 {
+                dq.push_front(e);
+            } else {
+                dq.push_back(e);
+            }
+            drop(dq);
             p.pending.fetch_add(1, Ordering::AcqRel);
         }
+        begin = end;
     }
     wake_all();
 
-    for idx in own {
-        counters::add(Counter::PoolTasks, 1);
-        // SAFETY: `state` is live for the whole of this function.
-        unsafe { exec(state_ptr, idx) };
-    }
     loop {
-        sweep(p, state_ptr, exec);
+        while let Some((idx, stolen)) = claim(p, me, state_ptr) {
+            counters::add(Counter::PoolTasks, 1);
+            // SAFETY: `state` is live for the whole of this function.
+            unsafe { exec(state_ptr, idx, stolen) };
+        }
         let flag = lock(&state.done);
         if *flag {
             break;
@@ -389,54 +474,22 @@ where
     let mut results = std::mem::take(&mut *lock(&state.results));
     results.sort_unstable_by_key(|(i, _)| *i);
     debug_assert_eq!(results.len(), total);
-    results.into_iter().map(|(_, r)| r).collect()
+    let results = results.into_iter().map(|(_, r)| r).collect();
+    (results, state.steals.load(Ordering::Relaxed))
 }
 
-/// Reclaims this region's unclaimed entries from every deque and runs
-/// their chunks on the driving thread.
-// SAFETY: only called from `run` with that region's own live
-// `state_ptr`/`exec` pair, and only entries matching `state_ptr` are
-// executed here.
-fn sweep(p: &Pool, state_ptr: *const (), exec: unsafe fn(*const (), u32)) {
-    let mut mine = Vec::new();
-    for dq in &p.deques {
-        let mut dq = lock(dq);
-        if dq.is_empty() {
-            continue;
-        }
-        let before = dq.len();
-        let mut keep = VecDeque::with_capacity(before);
-        while let Some(e) = dq.pop_front() {
-            if std::ptr::eq(e.state, state_ptr) {
-                mine.push(e);
-            } else {
-                keep.push_back(e);
-            }
-        }
-        *dq = keep;
-        let taken = before - dq.len();
-        if taken > 0 {
-            p.pending.fetch_sub(taken, Ordering::AcqRel);
-        }
-    }
-    for e in mine {
-        for idx in e.lo..e.hi {
-            counters::add(Counter::PoolTasks, 1);
-            // SAFETY: the entry referenced this driver's own live region.
-            unsafe { exec(e.state, idx) };
-        }
-    }
+/// Serializes tests that reconfigure the global limit.
+#[cfg(test)]
+pub(crate) fn limit_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    lock(&LOCK)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serializes tests that reconfigure the global limit.
-    fn limit_lock() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-    }
+    use std::collections::BTreeSet;
+    use std::time::Instant;
 
     #[test]
     fn run_returns_results_in_payload_order() {
@@ -483,6 +536,48 @@ mod tests {
             });
             let want: Vec<u64> = (0..8u64).map(|x| (0..16u64).map(|y| x + y).sum()).collect();
             assert_eq!(outer, want);
+        });
+    }
+
+    #[test]
+    fn idle_worker_steals_from_the_drivers_share() {
+        let _g = limit_lock();
+        install_limit(2, || {
+            let n = 256u32;
+            let driver = std::thread::current().id();
+            // Threads that ran an item of the driver's initial half.
+            let ran_front = Mutex::new(BTreeSet::new());
+            let helped = AtomicBool::new(false);
+            // Only turns a pool that never steals into a failed assertion
+            // instead of a hang.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let (out, steals) = run_counting_steals((0..n).collect(), |_, i| {
+                if i < n / 2 {
+                    let id = std::thread::current().id();
+                    lock(&ran_front).insert(format!("{id:?}"));
+                    if id != driver {
+                        helped.store(true, Ordering::Release);
+                    }
+                }
+                if i < n / 8 {
+                    // The first eighth holds nearly all the work: each item
+                    // spins until another executor has taken part of the
+                    // driver's share.
+                    while !helped.load(Ordering::Acquire) && Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                }
+                i
+            });
+            assert_eq!(out, (0..n).collect::<Vec<_>>());
+            assert!(steals > 0, "no chunk left the executor it was dealt to");
+            let threads = ran_front
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner);
+            assert!(
+                threads.len() >= 2,
+                "the driver's initial half ran on {threads:?} only"
+            );
         });
     }
 
