@@ -1,6 +1,6 @@
 //! Static lock-order analysis (DESIGN.md §15).
 //!
-//! Built on the item parser ([`crate::parser`]): per crate, the pass
+//! Built on the item parser (the `parser` module): per crate, the pass
 //! inventories lock fields (`Mutex`/`RwLock`/`TracedMutex` struct
 //! fields and `static`s), resolves guard-returning helper functions,
 //! computes a flow-insensitive *lock effect* (which locks a function

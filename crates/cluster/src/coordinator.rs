@@ -371,14 +371,11 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ClusterState>) {
                     continue;
                 }
                 let conn_state = Arc::clone(state);
-                let spawned = std::thread::Builder::new()
+                // On thread exhaustion the failed spawn drops the
+                // connection rather than wedge the accept loop.
+                let _ = std::thread::Builder::new()
                     .name("cluster-conn".to_string())
                     .spawn(move || serve_connection(stream, &conn_state));
-                if spawned.is_err() {
-                    // Thread exhaustion: drop the connection rather
-                    // than wedge the accept loop.
-                    continue;
-                }
             }
             Ok(None) => std::thread::sleep(Duration::from_millis(5)),
             Err(_) => std::thread::sleep(Duration::from_millis(5)),

@@ -7,7 +7,7 @@
 //! (CLI, loadgen, tests) point at a coordinator unchanged. Each shard
 //! daemon is an ordinary `lotus-serve` process answering the `Shard*`
 //! requests: it builds its graph from the deterministic spec, keeps
-//! only its edge-balanced [`lotus_graph::shard`] partition (owned
+//! only its edge-balanced `lotus_graph::shard` partition (owned
 //! forward columns plus ghost columns), and counts the triangles whose
 //! apex it owns. Per-shard answers **sum** to the exact single-node
 //! result — bit-identical, not approximate.

@@ -11,16 +11,13 @@
 //! contiguous sub-slice found by binary search — the extra traversal cost
 //! is `O(log)` per list per pass, traded against locality.
 
-use rayon::prelude::*;
-
-use lotus_algos::intersect::count_merge;
-
+use crate::hnn::{fold_vertices, hnn_vertex};
 use crate::structure::LotusGraph;
 
 /// Counts HNN triangles in `u`-blocks of `2^block_bits` vertices each.
 ///
-/// Equivalent to [`crate::count::count_hnn_phase`]; the block size only
-/// affects locality.
+/// Equivalent to [`crate::count::count_hnn_phase`], with the same
+/// per-vertex kernel; the block size only affects locality.
 pub fn count_hnn_blocked(lg: &LotusGraph, block_bits: u32) -> u64 {
     let n = lg.num_vertices();
     if n == 0 {
@@ -32,24 +29,17 @@ pub fn count_hnn_blocked(lg: &LotusGraph, block_bits: u32) -> u64 {
     for b in 0..blocks {
         let lo = (b * block) as u32;
         let hi = ((b + 1) * block).min(n as u64) as u32;
-        total += (0..n)
-            .into_par_iter()
-            .map(|v| {
-                let he_v = lg.hub_neighbors(v);
-                if he_v.is_empty() {
-                    return 0;
-                }
+        total += fold_vertices(
+            lg,
+            |hubs, v| {
                 let nhe_v = lg.nonhub_neighbors(v);
                 // Contiguous sub-slice of neighbours inside [lo, hi).
                 let start = nhe_v.partition_point(|&u| u < lo);
                 let end = nhe_v.partition_point(|&u| u < hi);
-                let mut local = 0u64;
-                for &u in &nhe_v[start..end] {
-                    local += count_merge(he_v, lg.hub_neighbors(u));
-                }
-                local
-            })
-            .sum::<u64>();
+                hnn_vertex(lg, hubs, v, &nhe_v[start..end], |_, _| {})
+            },
+            |a, b| a + b,
+        );
     }
     total
 }

@@ -6,8 +6,9 @@
 //!    neighbours in the H2H bit array. Work is distributed as squared-edge
 //!    tiles (§4.6) so the quadratic pair loop of high-degree vertices is
 //!    split evenly.
-//! 2. **HNN** — for every non-hub edge `(v, u)`, merge-join the 16-bit HE
-//!    lists of `v` and `u`.
+//! 2. **HNN** — for every non-hub edge `(v, u)`, probe the 16-bit HE list
+//!    of `u` against HE(v), marked in a hub bitmap of at most 8 KiB per
+//!    pool chunk (DESIGN.md §3, substitution 6).
 //! 3. **NNN** — for every non-hub edge `(v, u)`, merge-join the 32-bit NHE
 //!    lists, never touching hub edges.
 //!
@@ -35,6 +36,7 @@ use lotus_telemetry::{counters, Counter, Span, SpanId};
 use crate::breakdown::Breakdown;
 use crate::config::LotusConfig;
 use crate::h2h::TriBitArray;
+use crate::hnn::{fold_vertices, hnn_vertex};
 use crate::preprocess::{build_lotus_graph, build_lotus_graph_guarded};
 use crate::stats::LotusStats;
 use crate::structure::LotusGraph;
@@ -479,22 +481,11 @@ fn count_tile(h2h: &TriBitArray, he: &[u16], tile: &Tile) -> u64 {
 
 /// Phase 2: HNN triangles.
 fn count_hnn(lg: &LotusGraph) -> u64 {
-    (0..lg.num_vertices())
-        .into_par_iter()
-        .with_min_len(PAR_GRAIN)
-        .map(|v| {
-            let he_v = lg.hub_neighbors(v);
-            if he_v.is_empty() {
-                return 0;
-            }
-            rayon::sched::log_read(he_v, "phase2.he");
-            let mut local = 0u64;
-            for &u in lg.nonhub_neighbors(v) {
-                local += count_merge(he_v, lg.hub_neighbors(u));
-            }
-            local
-        })
-        .sum()
+    fold_vertices(
+        lg,
+        |hubs, v| hnn_vertex(lg, hubs, v, lg.nonhub_neighbors(v), |_, _| {}),
+        |a, b| a + b,
+    )
 }
 
 /// Phase 3: NNN triangles.
@@ -554,10 +545,9 @@ fn count_hub_pairs_guarded(
 /// vertices.
 fn count_hnn_guarded(lg: &LotusGraph, guard: &RunGuard) -> Result<u64, (StopReason, u64)> {
     let stopped = AtomicBool::new(false);
-    let partial = (0..lg.num_vertices())
-        .into_par_iter()
-        .with_min_len(PAR_GRAIN)
-        .map(|v| {
+    let partial = fold_vertices(
+        lg,
+        |hubs, v| {
             if stopped.load(Ordering::Relaxed) {
                 return 0;
             }
@@ -565,18 +555,10 @@ fn count_hnn_guarded(lg: &LotusGraph, guard: &RunGuard) -> Result<u64, (StopReas
                 stopped.store(true, Ordering::Relaxed);
                 return 0;
             }
-            let he_v = lg.hub_neighbors(v);
-            if he_v.is_empty() {
-                return 0;
-            }
-            rayon::sched::log_read(he_v, "phase2.he");
-            let mut local = 0u64;
-            for &u in lg.nonhub_neighbors(v) {
-                local += count_merge(he_v, lg.hub_neighbors(u));
-            }
-            local
-        })
-        .sum();
+            hnn_vertex(lg, hubs, v, lg.nonhub_neighbors(v), |_, _| {})
+        },
+        |a, b| a + b,
+    );
     match guard.should_stop() {
         Some(reason) if stopped.load(Ordering::Relaxed) => Err((reason, partial)),
         _ => Ok(partial),
@@ -613,24 +595,24 @@ fn count_nnn_guarded(lg: &LotusGraph, guard: &RunGuard) -> Result<u64, (StopReas
     }
 }
 
-/// Fused HNN + NNN ablation: one pass over the non-hub edges performing
-/// both intersections. Returns `(hnn, nnn)`.
+/// Fused HNN + NNN ablation: one pass over the vertices, each running
+/// its HNN probes and its NNN merges back to back over the same NHE
+/// list, so both phases' random accesses share one pass. Returns
+/// `(hnn, nnn)`.
 fn count_hnn_nnn_fused(lg: &LotusGraph) -> (u64, u64) {
-    (0..lg.num_vertices())
-        .into_par_iter()
-        .with_min_len(PAR_GRAIN)
-        .map(|v| {
-            let he_v = lg.hub_neighbors(v);
+    fold_vertices(
+        lg,
+        |hubs, v| {
             let nhe_v = lg.nonhub_neighbors(v);
-            let mut hnn = 0u64;
+            let hnn = hnn_vertex(lg, hubs, v, nhe_v, |_, _| {});
             let mut nnn = 0u64;
             for &u in nhe_v {
-                hnn += count_merge(he_v, lg.hub_neighbors(u));
                 nnn += count_merge(nhe_v, lg.nonhub_neighbors(u));
             }
             (hnn, nnn)
-        })
-        .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+        },
+        |a, b| (a.0 + b.0, a.1 + b.1),
+    )
 }
 
 /// Convenience: end-to-end LOTUS count with default configuration.

@@ -9,8 +9,9 @@
 //!
 //! 1. **HHH + HHN** — iterate each vertex's hub neighbours pairwise and
 //!    probe the dense triangular [`h2h::TriBitArray`] (1 bit per hub pair).
-//! 2. **HNN** — intersect the 16-bit hub-neighbour (HE) lists of non-hub
-//!    endpoints of each non-hub edge.
+//! 2. **HNN** — intersect the 16-bit hub-neighbour (HE) lists of the
+//!    endpoints of each non-hub edge, probing one against the other marked
+//!    in a hub bitmap of at most 8 KiB per worker chunk.
 //! 3. **NNN** — Forward-style merge joins over the 32-bit non-hub (NHE)
 //!    lists, never touching hub edges (the fruitless-search pruning of
 //!    §3.3).
@@ -26,6 +27,7 @@ pub mod breakdown;
 pub mod config;
 pub mod count;
 pub mod h2h;
+mod hnn;
 pub mod kclique;
 pub mod per_vertex;
 pub mod preprocess;

@@ -14,6 +14,7 @@ use rayon::prelude::*;
 use lotus_algos::intersect::merge::merge_for_each;
 
 use crate::count::PAR_GRAIN;
+use crate::hnn::{fold_vertices, hnn_vertex};
 use crate::structure::LotusGraph;
 use crate::tiling::{make_tiles, Tile};
 
@@ -44,40 +45,34 @@ pub fn count_per_vertex(lg: &LotusGraph) -> Vec<u64> {
             }
         });
 
-    let vertices = || {
-        (0..lg.num_vertices())
-            .into_par_iter()
-            .with_min_len(PAR_GRAIN)
-    };
-
     // Phase 2: HNN — corners are (v, u, h).
-    vertices().for_each(|v| {
-        let he_v = lg.hub_neighbors(v);
-        if he_v.is_empty() {
-            return;
-        }
-        rayon::sched::log_read(he_v, "per_vertex.phase2.he");
-        for &u in lg.nonhub_neighbors(v) {
-            merge_for_each(he_v, lg.hub_neighbors(u), |h| {
+    fold_vertices(
+        lg,
+        |hubs, v| {
+            hnn_vertex(lg, hubs, v, lg.nonhub_neighbors(v), |u, h| {
                 counts[v as usize].fetch_add(1, Ordering::Relaxed);
                 counts[u as usize].fetch_add(1, Ordering::Relaxed);
                 counts[h as usize].fetch_add(1, Ordering::Relaxed);
             });
-        }
-    });
+        },
+        |(), ()| (),
+    );
 
     // Phase 3: NNN — corners are (v, u, w).
-    vertices().for_each(|v| {
-        let nhe_v = lg.nonhub_neighbors(v);
-        rayon::sched::log_read(nhe_v, "per_vertex.phase3.nhe");
-        for &u in nhe_v {
-            merge_for_each(nhe_v, lg.nonhub_neighbors(u), |w| {
-                counts[v as usize].fetch_add(1, Ordering::Relaxed);
-                counts[u as usize].fetch_add(1, Ordering::Relaxed);
-                counts[w as usize].fetch_add(1, Ordering::Relaxed);
-            });
-        }
-    });
+    (0..lg.num_vertices())
+        .into_par_iter()
+        .with_min_len(PAR_GRAIN)
+        .for_each(|v| {
+            let nhe_v = lg.nonhub_neighbors(v);
+            rayon::sched::log_read(nhe_v, "per_vertex.phase3.nhe");
+            for &u in nhe_v {
+                merge_for_each(nhe_v, lg.nonhub_neighbors(u), |w| {
+                    counts[v as usize].fetch_add(1, Ordering::Relaxed);
+                    counts[u as usize].fetch_add(1, Ordering::Relaxed);
+                    counts[w as usize].fetch_add(1, Ordering::Relaxed);
+                });
+            }
+        });
 
     // Map back to original IDs.
     let mut out = vec![0u64; n];

@@ -4,13 +4,17 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use lotus_algos::intersect::count_merge;
+use lotus_core::blocking::count_hnn_blocked;
 use lotus_core::config::{HubCount, LotusConfig};
-use lotus_core::count::LotusCounter;
+use lotus_core::count::{count_hnn_phase, LotusCounter};
 use lotus_core::h2h::{pair_bit_index, TriBitArray, TriBitArrayBuilder};
 use lotus_core::kclique::count_kcliques;
 use lotus_core::per_vertex::count_per_vertex;
 use lotus_core::preprocess::build_lotus_graph;
+use lotus_core::LotusGraph;
 use lotus_graph::{EdgeList, UndirectedCsr};
+use lotus_resilience::RunGuard;
 
 const CASES: u64 = 64;
 
@@ -90,7 +94,49 @@ fn per_vertex_matches_baseline() {
     }
 }
 
-/// Blocked HNN equals the plain phase for arbitrary block sizes.
+/// The paper's HNN phase: merge-join HE(v) with HE(u) over every
+/// non-hub edge `(v, u)`. The reference the bitmap kernel must match.
+fn merge_hnn(lg: &LotusGraph) -> u64 {
+    (0..lg.num_vertices())
+        .flat_map(|v| {
+            let he_v = lg.hub_neighbors(v);
+            lg.nonhub_neighbors(v)
+                .iter()
+                .map(move |&u| count_merge(he_v, lg.hub_neighbors(u)))
+        })
+        .sum()
+}
+
+/// Every HNN path (plain, guarded, fused, blocked in `2^block_bits`
+/// vertex blocks, per-vertex) agrees with the merge reference on `g`
+/// with `hubs` hubs.
+fn assert_hnn_paths_agree(g: &UndirectedCsr, hubs: u32, block_bits: &[u32], what: &str) {
+    let cfg = LotusConfig::default().with_hub_count(HubCount::Fixed(hubs));
+    let lg = build_lotus_graph(g, &cfg);
+    let want = merge_hnn(&lg);
+    assert_eq!(count_hnn_phase(&lg), want, "{what} hubs {hubs}: plain");
+    let guarded = LotusCounter::new(cfg)
+        .count_prepared_guarded(&lg, &RunGuard::unlimited())
+        .expect("an unlimited guard never stops a count");
+    assert_eq!(guarded.stats.hnn, want, "{what} hubs {hubs}: guarded");
+    let fused = LotusCounter::new(cfg.with_fused_phases(true)).count_prepared(&lg);
+    assert_eq!(fused.stats.hnn, want, "{what} hubs {hubs}: fused");
+    for &bits in block_bits {
+        assert_eq!(
+            count_hnn_blocked(&lg, bits),
+            want,
+            "{what} hubs {hubs}: blocked, {bits} bits"
+        );
+    }
+    assert_eq!(
+        count_per_vertex(&lg),
+        lotus_algos::forward::per_vertex_counts(g),
+        "{what} hubs {hubs}: per vertex"
+    );
+}
+
+/// Blocked HNN equals the merge reference and the plain phase for
+/// arbitrary block sizes.
 #[test]
 fn blocked_hnn_matches() {
     for seed in 0..CASES {
@@ -100,12 +146,57 @@ fn blocked_hnn_matches() {
         let bits = rng.gen_range(1..8u32);
         let cfg = LotusConfig::default().with_hub_count(HubCount::Fixed(hubs));
         let lg = build_lotus_graph(&g, &cfg);
+        let want = merge_hnn(&lg);
         assert_eq!(
-            lotus_core::blocking::count_hnn_blocked(&lg, bits),
-            lotus_core::count::count_hnn_phase(&lg),
+            count_hnn_blocked(&lg, bits),
+            want,
             "seed {seed} hubs {hubs} bits {bits}"
         );
+        assert_eq!(count_hnn_phase(&lg), want, "seed {seed} hubs {hubs}");
     }
+}
+
+/// The hub bitmap's word boundaries (hub IDs 63, 64 and 127) and the
+/// degenerate hub counts 0 and 1 on every HNN path.
+#[test]
+fn hnn_paths_match_merge_reference() {
+    for seed in 0..4u64 {
+        let rmat = lotus_gen::Rmat::new(9, 8).generate(seed);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let random = graph_of(raw_edges(&mut rng, 300, 3000), 300);
+        for hubs in [0u32, 1, 63, 64, 65, 128] {
+            let bits = [1, 6, 31];
+            assert_hnn_paths_agree(&rmat, hubs, &bits, &format!("rmat seed {seed}"));
+            assert_hnn_paths_agree(&random, hubs, &bits, &format!("random seed {seed}"));
+        }
+    }
+}
+
+/// With the paper's 2¹⁶ hubs the bitmap's last bit, hub 65535, closes
+/// HNN triangles. The graph is the circulant `C_n(1, 2)`: every vertex
+/// has degree 4, so the relabeling keeps IDs, and hub 65535 forms the
+/// HNN triangle `(65535, 65536, 65537)`.
+#[test]
+fn hnn_uses_the_last_hub_bit() {
+    let n = (1u32 << 16) + 64;
+    let pairs = (0..n).flat_map(|v| [(v, (v + 1) % n), (v, (v + 2) % n)]);
+    let g = graph_of(pairs.collect(), n);
+    let lg = build_lotus_graph(
+        &g,
+        &LotusConfig::default().with_hub_count(HubCount::Fixed(1 << 16)),
+    );
+    assert_eq!(lg.hub_count, 1 << 16);
+    let last = u16::MAX;
+    let closes_hnn = (0..n).any(|v| {
+        lg.hub_neighbors(v).contains(&last)
+            && lg
+                .nonhub_neighbors(v)
+                .iter()
+                .any(|&u| lg.hub_neighbors(u).contains(&last))
+    });
+    assert!(closes_hnn, "hub {last} closes no HNN triangle");
+    // Blocks of 2^14 vertices: one boundary falls right after hub 65535.
+    assert_hnn_paths_agree(&g, 1 << 16, &[14, 31], "circulant");
 }
 
 /// 3-cliques equal triangles; a 4-clique implies at least 4 triangles.

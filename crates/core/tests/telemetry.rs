@@ -5,7 +5,11 @@
 //! Global telemetry state is shared, so the feature-on checks run as one
 //! sequential test body.
 
+#[cfg(feature = "telemetry")]
+use lotus_core::count::count_hnn_phase;
 use lotus_core::count::LotusCounter;
+#[cfg(feature = "telemetry")]
+use lotus_core::preprocess::build_lotus_graph;
 use lotus_core::resilient::count_with_budget;
 use lotus_core::{HubCount, LotusConfig};
 use lotus_resilience::{CancelToken, MemoryBudget, RunGuard};
@@ -68,6 +72,38 @@ fn pipeline_records_spans_counters_and_degrade_path() {
     let snap = lotus_telemetry::snapshot();
     assert_eq!(snap.spans.get(SpanId::Preprocess).entries, 1);
     assert_eq!(snap.counters.get(Counter::GuardStops), 1);
+
+    // The HNN bitmap kernel records what the merge join recorded: one
+    // intersection per non-hub edge (v, u) with a non-empty HE(v),
+    // fruitless when it closes no triangle. It takes no merge step and
+    // probes every HE(u) entry once.
+    let lg = build_lotus_graph(&g, &cfg(64));
+    let (mut pairs, mut fruitless, mut probes, mut hnn) = (0u64, 0u64, 0u64, 0u64);
+    for v in 0..lg.num_vertices() {
+        let he_v = lg.hub_neighbors(v);
+        if he_v.is_empty() {
+            continue;
+        }
+        for &u in lg.nonhub_neighbors(v) {
+            let he_u = lg.hub_neighbors(u);
+            let common = he_u.iter().filter(|h| he_v.contains(h)).count() as u64;
+            pairs += 1;
+            fruitless += u64::from(common == 0);
+            probes += he_u.len() as u64;
+            hnn += common;
+        }
+    }
+    assert!(hnn > 0 && probes > 0);
+    lotus_telemetry::reset();
+    assert_eq!(count_hnn_phase(&lg), hnn);
+    let snap = lotus_telemetry::snapshot();
+    assert_eq!(snap.counters.get(Counter::Intersections), pairs);
+    assert_eq!(
+        snap.counters.get(Counter::FruitlessIntersections),
+        fruitless
+    );
+    assert_eq!(snap.counters.get(Counter::MergeSteps), 0);
+    assert_eq!(snap.counters.get(Counter::BitmapProbes), probes);
     lotus_telemetry::reset();
 }
 

@@ -4,7 +4,7 @@
 //! slow-loris timeouts with O(1) arm and cancel — a sorted structure
 //! per timeout would cost a log factor on the hottest path (every read
 //! re-arms the timer). The wheel hashes each deadline into one of
-//! [`TimerWheel::slots`] fixed-width buckets; arming is a push, firing
+//! the wheel's `slots` fixed-width buckets; arming is a push, firing
 //! is draining the buckets the cursor sweeps past, and cancellation is
 //! *lazy*: entries carry a generation number and the caller discards
 //! fired entries whose generation no longer matches the connection

@@ -12,7 +12,7 @@
 //!   `epoll_create1` / `epoll_ctl` / `epoll_pwait` syscalls — std does
 //!   not expose epoll and no `libc` crate is available offline, so the
 //!   three syscalls are issued directly with inline assembly, confined
-//!   to the [`sys`] module. Registration is level-triggered: an event
+//!   to the `sys` module. Registration is level-triggered: an event
 //!   repeats every wait until the condition is consumed.
 //! - **tick fallback** (everywhere else, or forced with
 //!   `LOTUS_NET_BACKEND=fallback`): a portable emulation that reports
@@ -287,7 +287,7 @@ impl Poller {
 pub fn accept_nonblocking(listener: &std::net::TcpListener) -> io::Result<Option<std::net::TcpStream>> {
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     {
-        if !std::env::var_os("LOTUS_NET_BACKEND").is_some_and(|v| v == "fallback") {
+        if std::env::var_os("LOTUS_NET_BACKEND").is_none_or(|v| v != "fallback") {
             return sys::accept_nonblocking(listener);
         }
     }

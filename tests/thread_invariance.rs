@@ -1,7 +1,10 @@
 //! Counts must not depend on how many threads share the work: the
 //! per-type split (not only the total) is identical on 1, 2 and 4
-//! threads, for the plain, guarded and fused-phase paths.
+//! threads, for the plain, guarded and fused-phase paths, and so are the
+//! per-vertex counts (whose HNN phase keeps a hub bitmap per pool chunk).
 
+use lotus::algos::forward::per_vertex_counts;
+use lotus::core::per_vertex::count_per_vertex;
 use lotus::core::preprocess::build_lotus_graph;
 use lotus::core::stats::LotusStats;
 use lotus::gen::erdos_renyi::ErdosRenyi;
@@ -15,8 +18,13 @@ use std::sync::{Mutex, PoisonError};
 /// take turns so each runs on the thread count it asks for.
 static LIMIT: Mutex<()> = Mutex::new(());
 
-/// Plain and guarded per-type counts of `graph` on `threads` threads.
-fn stats_on(graph: &UndirectedCsr, config: LotusConfig, threads: usize) -> [LotusStats; 2] {
+/// Plain and guarded per-type counts of `graph` on `threads` threads,
+/// and its per-vertex counts.
+fn counts_on(
+    graph: &UndirectedCsr,
+    config: LotusConfig,
+    threads: usize,
+) -> ([LotusStats; 2], Vec<u64>) {
     let pool = ThreadPoolBuilder::new()
         .num_threads(threads)
         .build()
@@ -29,19 +37,27 @@ fn stats_on(graph: &UndirectedCsr, config: LotusConfig, threads: usize) -> [Lotu
             .count_prepared_guarded(&lg, &RunGuard::unlimited())
             .expect("an unlimited guard never stops a count")
             .stats;
-        [plain, guarded]
+        ([plain, guarded], count_per_vertex(&lg))
     })
 }
 
 fn assert_thread_invariant(name: &str, graph: &UndirectedCsr, config: LotusConfig) {
     let _turn = LIMIT.lock().unwrap_or_else(PoisonError::into_inner);
-    let [want, guarded] = stats_on(graph, config, 1);
+    let ([want, guarded], want_per_vertex) = counts_on(graph, config, 1);
     assert_eq!(guarded, want, "{name}: guarded count on 1 thread");
     assert_eq!(want.total(), forward_count(graph), "{name}: total");
+    assert!(
+        want_per_vertex == per_vertex_counts(graph),
+        "{name}: per-vertex counts on 1 thread"
+    );
     for threads in [2, 4] {
-        let [plain, guarded] = stats_on(graph, config, threads);
+        let ([plain, guarded], per_vertex) = counts_on(graph, config, threads);
         assert_eq!(plain, want, "{name}: plain count on {threads} threads");
         assert_eq!(guarded, want, "{name}: guarded count on {threads} threads");
+        assert!(
+            per_vertex == want_per_vertex,
+            "{name}: per-vertex counts on {threads} threads"
+        );
     }
 }
 
