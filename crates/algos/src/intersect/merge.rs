@@ -1,8 +1,10 @@
 //! Linear merge-join intersection.
 //!
 //! The workhorse kernel: one pass over both sorted lists, O(|a| + |b|).
-//! LOTUS uses merge join for its NNN phase because non-hub neighbour lists
-//! are short (§4.4.3) and the streaming access pattern is prefetch-friendly.
+//! The paper uses merge join for its NNN phase because non-hub neighbour
+//! lists are short (§4.4.3) and the streaming access pattern is
+//! prefetch-friendly; `lotus-core` keeps it for vertices whose non-hub
+//! list spans more than its NNN bitmap window.
 
 use lotus_graph::NeighborId;
 

@@ -4,8 +4,9 @@
 //! neighbour lists; the kernel choice dominates the instruction mix
 //! (paper §2.2, §6.3). Five kernels are provided:
 //!
-//! * [`merge`] — linear merge join; what LOTUS uses for its short non-hub
-//!   lists ("prevents overheads imposed by other solutions", §4.4.3).
+//! * [`merge`] — linear merge join; what the paper uses for its short
+//!   non-hub lists ("prevents overheads imposed by other solutions",
+//!   §4.4.3).
 //! * [`binary`] — probe the longer list by binary search.
 //! * [`gallop`] — exponential (galloping) search, adaptive to size skew.
 //! * [`hash`] — probe a pre-built hash set (Forward-hashed style).

@@ -1066,7 +1066,9 @@ pub fn parse(argv: &[&str]) -> Result<Command, ParseError> {
                     parse(&forwarded)
                 }
                 Some(other) => Err(ParseError(format!("unknown cluster verb '{other}'"))),
-                None => Err(ParseError("cluster: missing verb (serve|shard|query)".into())),
+                None => Err(ParseError(
+                    "cluster: missing verb (serve|shard|query)".into(),
+                )),
             }
         }
         other => Err(ParseError(format!("unknown subcommand '{other}'"))),

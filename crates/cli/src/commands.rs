@@ -730,9 +730,7 @@ pub fn cluster_shard(args: ClusterShardArgs) -> Result<String, CliError> {
     if let Some(coordinator) = &args.coordinator {
         let retry = lotus_resilience::RetryPolicy::serve_default(handle.addr().port().into());
         let reply = lotus_serve::Client::connect_with_retry(coordinator, &retry)
-            .map_err(|e| {
-                CliError::runtime(format!("connecting to coordinator {coordinator}: {e}"))
-            })
+            .map_err(|e| CliError::runtime(format!("connecting to coordinator {coordinator}: {e}")))
             .and_then(|(mut client, _)| {
                 client
                     .call(&Request::ShardJoin {

@@ -40,9 +40,7 @@ use std::time::{Duration, Instant};
 use lotus_resilience::retry::RetryPolicy;
 use lotus_resilience::Deadline;
 use lotus_serve::journal::{read_journal, Journal, JournalRecord};
-use lotus_serve::proto::{
-    self, ErrorKind, Request, Response, StatsReply, MAX_BATCH, NO_DEADLINE,
-};
+use lotus_serve::proto::{self, ErrorKind, Request, Response, StatsReply, MAX_BATCH, NO_DEADLINE};
 use lotus_telemetry::counters::{self, Counter};
 use lotus_telemetry::sync::{TracedGuard, TracedMutex};
 
@@ -300,10 +298,7 @@ pub fn spawn(config: ClusterConfig) -> Result<CoordinatorHandle, ClusterError> {
             let (recovered, errors) = ShardMap::from_entries(&readout.fold());
             // Per-entry damage is tolerated (the map degrades), but it
             // is not silent: counted for the operator.
-            counters::add(
-                Counter::ClusterMapRecoveryErrors,
-                errors.len() as u64,
-            );
+            counters::add(Counter::ClusterMapRecoveryErrors, errors.len() as u64);
             map = recovered;
         }
         journal = Some(TracedMutex::new(
@@ -337,7 +332,9 @@ pub fn spawn(config: ClusterConfig) -> Result<CoordinatorHandle, ClusterError> {
         started: Instant::now(),
     });
     for record in &join_records {
-        state.journal_append(record).map_err(ClusterError::Journal)?;
+        state
+            .journal_append(record)
+            .map_err(ClusterError::Journal)?;
     }
 
     let listener = TcpListener::bind((state.config.bind.as_str(), state.config.port))
@@ -391,8 +388,7 @@ fn serve_connection(mut stream: TcpStream, state: &Arc<ClusterState>) {
             Ok(request) => request,
             Err(proto::ProtoError::Io(_)) => return,
             Err(e) => {
-                let resp =
-                    Response::error(ErrorKind::Protocol, format!("malformed request: {e}"));
+                let resp = Response::error(ErrorKind::Protocol, format!("malformed request: {e}"));
                 let _ = proto::write_response(&mut stream, &resp);
                 return;
             }
@@ -483,10 +479,7 @@ fn run_count(state: &Arc<ClusterState>, name: &str, deadline_ms: u64) -> Respons
         };
     }
     if state.config.allow_partial && live > 0 {
-        state
-            .stats
-            .partial_answers
-            .fetch_add(1, Ordering::Relaxed);
+        state.stats.partial_answers.fetch_add(1, Ordering::Relaxed);
         counters::add(Counter::ClusterPartialAnswers, 1);
         // Degraded mode: a partial sum over the live shards, flagged
         // `cached: false` so callers can tell it from an exact answer.
@@ -695,7 +688,9 @@ fn run_fleet_stat(state: &Arc<ClusterState>) -> Response {
         };
     }
     let deadline = Deadline::after(state.config.default_deadline);
-    let calls: Vec<ShardCall> = (0..parts).map(|shard| (shard, Request::ShardStat)).collect();
+    let calls: Vec<ShardCall> = (0..parts)
+        .map(|shard| (shard, Request::ShardStat))
+        .collect();
     let replies = state.fan_out(&calls, deadline);
     let mut graphs = 0u32;
     let mut owned = 0u64;

@@ -194,11 +194,7 @@ impl Fleet {
 
     /// Event-drives every link with pending work until all calls
     /// resolve or the deadline passes.
-    fn drive(
-        &mut self,
-        deadline: Deadline,
-        results: &mut [Option<Result<Response, FleetError>>],
-    ) {
+    fn drive(&mut self, deadline: Deadline, results: &mut [Option<Result<Response, FleetError>>]) {
         let poller = match Poller::new() {
             Ok(p) => p,
             Err(_) => Poller::fallback(),
@@ -315,11 +311,8 @@ impl Fleet {
             if conn.out_pos >= conn.out.len() {
                 conn.out.clear();
                 conn.out_pos = 0;
-                let _ = poller.reregister(
-                    conn.stream.as_raw_fd(),
-                    Token(shard as u64),
-                    Interest::READ,
-                );
+                let _ =
+                    poller.reregister(conn.stream.as_raw_fd(), Token(shard as u64), Interest::READ);
                 return;
             }
             match conn.stream.write(&conn.out[conn.out_pos..]) {
@@ -377,11 +370,7 @@ impl Fleet {
                                         results[call_idx] = Some(Err(FleetError::Unavailable(
                                             format!("undecodable reply: {e}"),
                                         )));
-                                        self.fail_link(
-                                            shard,
-                                            "reply stream desynced",
-                                            results,
-                                        );
+                                        self.fail_link(shard, "reply stream desynced", results);
                                         return;
                                     }
                                 }

@@ -221,7 +221,10 @@ mod tests {
         let mut map = ShardMap::new();
         assert!(map.join("127.0.0.1:7001").is_some());
         assert!(map.join("127.0.0.1:7002").is_some());
-        assert!(map.join("127.0.0.1:7001").is_none(), "re-join is idempotent");
+        assert!(
+            map.join("127.0.0.1:7001").is_none(),
+            "re-join is idempotent"
+        );
         map.place("g", "rmat:9:8:7", 2);
         map.place("h", "er:100:300:1", 1);
         let (rebuilt, errors) = ShardMap::from_entries(&map.to_entries());

@@ -95,7 +95,10 @@ fn sharded_answers_are_bit_identical_to_single_node() {
         else {
             panic!("cluster count failed for {spec}");
         };
-        assert_eq!(triangles, expected_count, "sharded Count must be exact ({spec})");
+        assert_eq!(
+            triangles, expected_count,
+            "sharded Count must be exact ({spec})"
+        );
         assert!(cached, "a full fan-out answer is not partial");
 
         let Response::PerVertex { start, counts } = client
@@ -110,7 +113,10 @@ fn sharded_answers_are_bit_identical_to_single_node() {
             panic!("cluster per-vertex failed for {spec}");
         };
         assert_eq!(start, 0);
-        assert_eq!(counts, expected_pv, "sharded PerVertex must be exact ({spec})");
+        assert_eq!(
+            counts, expected_pv,
+            "sharded PerVertex must be exact ({spec})"
+        );
     }
 
     // Merged fleet occupancy reflects both placements on all 3 shards.

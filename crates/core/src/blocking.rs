@@ -11,7 +11,7 @@
 //! contiguous sub-slice found by binary search — the extra traversal cost
 //! is `O(log)` per list per pass, traded against locality.
 
-use crate::hnn::{fold_vertices, hnn_vertex};
+use crate::kernel::{fold_vertices, hnn_vertex, ChunkBitmaps};
 use crate::structure::LotusGraph;
 
 /// Counts HNN triangles in `u`-blocks of `2^block_bits` vertices each.
@@ -31,12 +31,13 @@ pub fn count_hnn_blocked(lg: &LotusGraph, block_bits: u32) -> u64 {
         let hi = ((b + 1) * block).min(n as u64) as u32;
         total += fold_vertices(
             lg,
-            |hubs, v| {
+            || ChunkBitmaps::hnn(lg),
+            |s, v| {
                 let nhe_v = lg.nonhub_neighbors(v);
                 // Contiguous sub-slice of neighbours inside [lo, hi).
                 let start = nhe_v.partition_point(|&u| u < lo);
                 let end = nhe_v.partition_point(|&u| u < hi);
-                hnn_vertex(lg, hubs, v, &nhe_v[start..end], |_, _| {})
+                hnn_vertex(lg, &mut s.hubs, v, &nhe_v[start..end], |_, _| {})
             },
             |a, b| a + b,
         );

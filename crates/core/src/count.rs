@@ -9,8 +9,10 @@
 //! 2. **HNN** — for every non-hub edge `(v, u)`, probe the 16-bit HE list
 //!    of `u` against HE(v), marked in a hub bitmap of at most 8 KiB per
 //!    pool chunk (DESIGN.md §3, substitution 6).
-//! 3. **NNN** — for every non-hub edge `(v, u)`, merge-join the 32-bit NHE
-//!    lists, never touching hub edges.
+//! 3. **NNN** — for every non-hub edge `(v, u)`, probe the 32-bit NHE list
+//!    of `u` against NHE(v), marked in a window of at most 32 KiB per pool
+//!    chunk, or merge-join the two when NHE(v) spans more than the window
+//!    (DESIGN.md §3, substitution 7). Hub edges are never touched.
 //!
 //! The HNN and NNN loops run over the same edge set but are deliberately
 //! *not* fused (§4.5): each phase's random accesses then target a single
@@ -28,7 +30,6 @@ use std::time::Instant;
 
 use rayon::prelude::*;
 
-use lotus_algos::intersect::count_merge;
 use lotus_graph::UndirectedCsr;
 use lotus_resilience::{fault_point, isolate, RunGuard, StopReason};
 use lotus_telemetry::{counters, Counter, Span, SpanId};
@@ -36,7 +37,7 @@ use lotus_telemetry::{counters, Counter, Span, SpanId};
 use crate::breakdown::Breakdown;
 use crate::config::LotusConfig;
 use crate::h2h::TriBitArray;
-use crate::hnn::{fold_vertices, hnn_vertex};
+use crate::kernel::{fold_vertices, hnn_vertex, nnn_vertex, ChunkBitmaps, NNN_WINDOW};
 use crate::preprocess::{build_lotus_graph, build_lotus_graph_guarded};
 use crate::stats::LotusStats;
 use crate::structure::LotusGraph;
@@ -225,9 +226,9 @@ impl LotusCounter {
 
         let (hnn, nnn) = if self.config.fuse_hnn_nnn {
             // Ablation path: the fused pass has no per-phase span; its
-            // merge work still lands in the kernel counters.
+            // kernel work still lands in the kernel counters.
             let start = Instant::now();
-            let counts = count_hnn_nnn_fused(lg);
+            let counts = count_hnn_nnn_fused(lg, NNN_WINDOW);
             // Attribute the fused time to both phases evenly.
             let half = start.elapsed() / 2;
             breakdown.hnn = half;
@@ -244,7 +245,7 @@ impl LotusCounter {
             // Phase 3: NNN.
             let start = Instant::now();
             let span = Span::enter(SpanId::Nnn);
-            let nnn = count_nnn(lg);
+            let nnn = count_nnn(lg, NNN_WINDOW);
             drop(span);
             breakdown.nnn = start.elapsed();
             (hnn, nnn)
@@ -384,7 +385,7 @@ impl LotusCounter {
         let outcome = isolate(|| {
             let _span = Span::enter(SpanId::Nnn);
             fault_point!(panic: "core.phase.nnn");
-            count_nnn_guarded(lg, guard)
+            count_nnn_guarded(lg, guard, NNN_WINDOW)
         });
         breakdown.nnn = start.elapsed();
         let nnn = unwrap_phase(outcome, Phase::Nnn, &mut stats, &breakdown, |s, c| {
@@ -483,26 +484,20 @@ fn count_tile(h2h: &TriBitArray, he: &[u16], tile: &Tile) -> u64 {
 fn count_hnn(lg: &LotusGraph) -> u64 {
     fold_vertices(
         lg,
-        |hubs, v| hnn_vertex(lg, hubs, v, lg.nonhub_neighbors(v), |_, _| {}),
+        || ChunkBitmaps::hnn(lg),
+        |s, v| hnn_vertex(lg, &mut s.hubs, v, lg.nonhub_neighbors(v), |_, _| {}),
         |a, b| a + b,
     )
 }
 
-/// Phase 3: NNN triangles.
-fn count_nnn(lg: &LotusGraph) -> u64 {
-    (0..lg.num_vertices())
-        .into_par_iter()
-        .with_min_len(PAR_GRAIN)
-        .map(|v| {
-            let nhe_v = lg.nonhub_neighbors(v);
-            rayon::sched::log_read(nhe_v, "phase3.nhe");
-            let mut local = 0u64;
-            for &u in nhe_v {
-                local += count_merge(nhe_v, lg.nonhub_neighbors(u));
-            }
-            local
-        })
-        .sum()
+/// Phase 3: NNN triangles, with a `window`-bit NNN window per chunk.
+pub(crate) fn count_nnn(lg: &LotusGraph, window: usize) -> u64 {
+    fold_vertices(
+        lg,
+        || ChunkBitmaps::nnn(lg, window),
+        |s, v| nnn_vertex(lg, &mut s.window, v, |_, _| {}),
+        |a, b| a + b,
+    )
 }
 
 /// Guarded phase 1: like [`count_hub_pairs`] but polls the guard every
@@ -547,7 +542,8 @@ fn count_hnn_guarded(lg: &LotusGraph, guard: &RunGuard) -> Result<u64, (StopReas
     let stopped = AtomicBool::new(false);
     let partial = fold_vertices(
         lg,
-        |hubs, v| {
+        || ChunkBitmaps::hnn(lg),
+        |s, v| {
             if stopped.load(Ordering::Relaxed) {
                 return 0;
             }
@@ -555,7 +551,7 @@ fn count_hnn_guarded(lg: &LotusGraph, guard: &RunGuard) -> Result<u64, (StopReas
                 stopped.store(true, Ordering::Relaxed);
                 return 0;
             }
-            hnn_vertex(lg, hubs, v, lg.nonhub_neighbors(v), |_, _| {})
+            hnn_vertex(lg, &mut s.hubs, v, lg.nonhub_neighbors(v), |_, _| {})
         },
         |a, b| a + b,
     );
@@ -567,12 +563,16 @@ fn count_hnn_guarded(lg: &LotusGraph, guard: &RunGuard) -> Result<u64, (StopReas
 
 /// Guarded phase 3: like [`count_nnn`] but polls the guard every 256
 /// vertices.
-fn count_nnn_guarded(lg: &LotusGraph, guard: &RunGuard) -> Result<u64, (StopReason, u64)> {
+pub(crate) fn count_nnn_guarded(
+    lg: &LotusGraph,
+    guard: &RunGuard,
+    window: usize,
+) -> Result<u64, (StopReason, u64)> {
     let stopped = AtomicBool::new(false);
-    let partial = (0..lg.num_vertices())
-        .into_par_iter()
-        .with_min_len(PAR_GRAIN)
-        .map(|v| {
+    let partial = fold_vertices(
+        lg,
+        || ChunkBitmaps::nnn(lg, window),
+        |s, v| {
             if stopped.load(Ordering::Relaxed) {
                 return 0;
             }
@@ -580,15 +580,10 @@ fn count_nnn_guarded(lg: &LotusGraph, guard: &RunGuard) -> Result<u64, (StopReas
                 stopped.store(true, Ordering::Relaxed);
                 return 0;
             }
-            let nhe_v = lg.nonhub_neighbors(v);
-            rayon::sched::log_read(nhe_v, "phase3.nhe");
-            let mut local = 0u64;
-            for &u in nhe_v {
-                local += count_merge(nhe_v, lg.nonhub_neighbors(u));
-            }
-            local
-        })
-        .sum();
+            nnn_vertex(lg, &mut s.window, v, |_, _| {})
+        },
+        |a, b| a + b,
+    );
     match guard.should_stop() {
         Some(reason) if stopped.load(Ordering::Relaxed) => Err((reason, partial)),
         _ => Ok(partial),
@@ -596,19 +591,16 @@ fn count_nnn_guarded(lg: &LotusGraph, guard: &RunGuard) -> Result<u64, (StopReas
 }
 
 /// Fused HNN + NNN ablation: one pass over the vertices, each running
-/// its HNN probes and its NNN merges back to back over the same NHE
+/// its HNN probes and its NNN probes back to back over the same NHE
 /// list, so both phases' random accesses share one pass. Returns
 /// `(hnn, nnn)`.
-fn count_hnn_nnn_fused(lg: &LotusGraph) -> (u64, u64) {
+pub(crate) fn count_hnn_nnn_fused(lg: &LotusGraph, window: usize) -> (u64, u64) {
     fold_vertices(
         lg,
-        |hubs, v| {
-            let nhe_v = lg.nonhub_neighbors(v);
-            let hnn = hnn_vertex(lg, hubs, v, nhe_v, |_, _| {});
-            let mut nnn = 0u64;
-            for &u in nhe_v {
-                nnn += count_merge(nhe_v, lg.nonhub_neighbors(u));
-            }
+        || ChunkBitmaps::fused(lg, window),
+        |s, v| {
+            let hnn = hnn_vertex(lg, &mut s.hubs, v, lg.nonhub_neighbors(v), |_, _| {});
+            let nnn = nnn_vertex(lg, &mut s.window, v, |_, _| {});
             (hnn, nnn)
         },
         |a, b| (a.0 + b.0, a.1 + b.1),
@@ -633,7 +625,7 @@ pub fn count_hnn_phase(lg: &LotusGraph) -> u64 {
 
 /// Public phase-3 (NNN) entry.
 pub fn count_nnn_phase(lg: &LotusGraph) -> u64 {
-    count_nnn(lg)
+    count_nnn(lg, NNN_WINDOW)
 }
 
 /// Counts the hub pairs of a single tile against the H2H array. Exposed

@@ -12,9 +12,11 @@
 //! 2. **HNN** — intersect the 16-bit hub-neighbour (HE) lists of the
 //!    endpoints of each non-hub edge, probing one against the other marked
 //!    in a hub bitmap of at most 8 KiB per worker chunk.
-//! 3. **NNN** — Forward-style merge joins over the 32-bit non-hub (NHE)
-//!    lists, never touching hub edges (the fruitless-search pruning of
-//!    §3.3).
+//! 3. **NNN** — intersect the 32-bit non-hub (NHE) lists of the endpoints
+//!    of each non-hub edge, probing one against the other marked in a
+//!    window of at most 32 KiB per worker chunk (a merge join where the
+//!    list spans more), never touching hub edges (the fruitless-search
+//!    pruning of §3.3).
 //!
 //! Entry points: [`count::LotusCounter`] for the end-to-end pipeline,
 //! [`preprocess::build_lotus_graph`] to materialize the [`LotusGraph`]
@@ -27,8 +29,8 @@ pub mod breakdown;
 pub mod config;
 pub mod count;
 pub mod h2h;
-mod hnn;
 pub mod kclique;
+mod kernel;
 pub mod per_vertex;
 pub mod preprocess;
 pub mod recursive;

@@ -11,16 +11,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use rayon::prelude::*;
 
-use lotus_algos::intersect::merge::merge_for_each;
-
 use crate::count::PAR_GRAIN;
-use crate::hnn::{fold_vertices, hnn_vertex};
+use crate::kernel::{fold_vertices, hnn_vertex, nnn_vertex, ChunkBitmaps, NNN_WINDOW};
 use crate::structure::LotusGraph;
 use crate::tiling::{make_tiles, Tile};
 
 /// Counts triangles per vertex (original IDs). The sum over all vertices
 /// is `3 × total triangles`.
 pub fn count_per_vertex(lg: &LotusGraph) -> Vec<u64> {
+    count_per_vertex_in(lg, NNN_WINDOW)
+}
+
+/// [`count_per_vertex`] with a `window`-bit NNN window per chunk.
+pub(crate) fn count_per_vertex_in(lg: &LotusGraph, window: usize) -> Vec<u64> {
     let n = lg.num_vertices() as usize;
     let counts: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
 
@@ -48,8 +51,9 @@ pub fn count_per_vertex(lg: &LotusGraph) -> Vec<u64> {
     // Phase 2: HNN — corners are (v, u, h).
     fold_vertices(
         lg,
-        |hubs, v| {
-            hnn_vertex(lg, hubs, v, lg.nonhub_neighbors(v), |u, h| {
+        || ChunkBitmaps::hnn(lg),
+        |s, v| {
+            hnn_vertex(lg, &mut s.hubs, v, lg.nonhub_neighbors(v), |u, h| {
                 counts[v as usize].fetch_add(1, Ordering::Relaxed);
                 counts[u as usize].fetch_add(1, Ordering::Relaxed);
                 counts[h as usize].fetch_add(1, Ordering::Relaxed);
@@ -59,20 +63,18 @@ pub fn count_per_vertex(lg: &LotusGraph) -> Vec<u64> {
     );
 
     // Phase 3: NNN — corners are (v, u, w).
-    (0..lg.num_vertices())
-        .into_par_iter()
-        .with_min_len(PAR_GRAIN)
-        .for_each(|v| {
-            let nhe_v = lg.nonhub_neighbors(v);
-            rayon::sched::log_read(nhe_v, "per_vertex.phase3.nhe");
-            for &u in nhe_v {
-                merge_for_each(nhe_v, lg.nonhub_neighbors(u), |w| {
-                    counts[v as usize].fetch_add(1, Ordering::Relaxed);
-                    counts[u as usize].fetch_add(1, Ordering::Relaxed);
-                    counts[w as usize].fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
+    fold_vertices(
+        lg,
+        || ChunkBitmaps::nnn(lg, window),
+        |s, v| {
+            nnn_vertex(lg, &mut s.window, v, |u, w| {
+                counts[v as usize].fetch_add(1, Ordering::Relaxed);
+                counts[u as usize].fetch_add(1, Ordering::Relaxed);
+                counts[w as usize].fetch_add(1, Ordering::Relaxed);
+            });
+        },
+        |(), ()| (),
+    );
 
     // Map back to original IDs.
     let mut out = vec![0u64; n];

@@ -7,7 +7,7 @@ use rand::{Rng, SeedableRng};
 use lotus_algos::intersect::count_merge;
 use lotus_core::blocking::count_hnn_blocked;
 use lotus_core::config::{HubCount, LotusConfig};
-use lotus_core::count::{count_hnn_phase, LotusCounter};
+use lotus_core::count::{count_hnn_phase, count_nnn_phase, LotusCounter};
 use lotus_core::h2h::{pair_bit_index, TriBitArray, TriBitArrayBuilder};
 use lotus_core::kclique::count_kcliques;
 use lotus_core::per_vertex::count_per_vertex;
@@ -197,6 +197,62 @@ fn hnn_uses_the_last_hub_bit() {
     assert!(closes_hnn, "hub {last} closes no HNN triangle");
     // Blocks of 2^14 vertices: one boundary falls right after hub 65535.
     assert_hnn_paths_agree(&g, 1 << 16, &[14, 31], "circulant");
+}
+
+/// The paper's NNN phase: merge-join NHE(v) with NHE(u) over every
+/// non-hub edge `(v, u)`. The reference the NNN window kernel must match.
+fn merge_nnn(lg: &LotusGraph) -> u64 {
+    (0..lg.num_vertices())
+        .flat_map(|v| {
+            let nhe_v = lg.nonhub_neighbors(v);
+            nhe_v
+                .iter()
+                .map(move |&u| count_merge(nhe_v, lg.nonhub_neighbors(u)))
+        })
+        .sum()
+}
+
+/// Every NNN path (plain, guarded, fused, per-vertex) agrees with the
+/// merge reference on `g` with `hubs` hubs. (The window is 2¹⁸ bits, so
+/// these graphs take the bitmap path on every vertex; the lotus-core unit
+/// tests repeat the check with a one-word window, which also drives the
+/// merge fallback.)
+fn assert_nnn_paths_agree(g: &UndirectedCsr, hubs: u32, what: &str) {
+    let cfg = LotusConfig::default().with_hub_count(HubCount::Fixed(hubs));
+    let lg = build_lotus_graph(g, &cfg);
+    let want = merge_nnn(&lg);
+    assert_eq!(count_nnn_phase(&lg), want, "{what} hubs {hubs}: plain");
+    assert_eq!(
+        LotusCounter::new(cfg).count_prepared(&lg).stats.nnn,
+        want,
+        "{what} hubs {hubs}: count"
+    );
+    let guarded = LotusCounter::new(cfg)
+        .count_prepared_guarded(&lg, &RunGuard::unlimited())
+        .expect("an unlimited guard never stops a count");
+    assert_eq!(guarded.stats.nnn, want, "{what} hubs {hubs}: guarded");
+    let fused = LotusCounter::new(cfg.with_fused_phases(true)).count_prepared(&lg);
+    assert_eq!(fused.stats.nnn, want, "{what} hubs {hubs}: fused");
+    assert_eq!(
+        count_per_vertex(&lg),
+        lotus_algos::forward::per_vertex_counts(g),
+        "{what} hubs {hubs}: per vertex"
+    );
+}
+
+/// The NNN window kernel matches the merge join on skewed and flat
+/// graphs, with no hubs, one, and the window's word boundaries shifted by
+/// 64 and 128 hubs.
+#[test]
+fn nnn_paths_match_merge_reference() {
+    for seed in 0..4u64 {
+        let rmat = lotus_gen::Rmat::new(9, 8).generate(seed);
+        let er = lotus_gen::ErdosRenyi::new(600, 6000).generate(seed);
+        for hubs in [0u32, 1, 64, 128] {
+            assert_nnn_paths_agree(&rmat, hubs, &format!("rmat seed {seed}"));
+            assert_nnn_paths_agree(&er, hubs, &format!("er seed {seed}"));
+        }
+    }
 }
 
 /// 3-cliques equal triangles; a 4-clique implies at least 4 triangles.

@@ -5,9 +5,9 @@
 //! Global telemetry state is shared, so the feature-on checks run as one
 //! sequential test body.
 
-#[cfg(feature = "telemetry")]
-use lotus_core::count::count_hnn_phase;
 use lotus_core::count::LotusCounter;
+#[cfg(feature = "telemetry")]
+use lotus_core::count::{count_hnn_phase, count_nnn_phase};
 #[cfg(feature = "telemetry")]
 use lotus_core::preprocess::build_lotus_graph;
 use lotus_core::resilient::count_with_budget;
@@ -37,7 +37,10 @@ fn pipeline_records_spans_counters_and_degrade_path() {
     // Span wall time tracks the breakdown's own measurement.
     assert!(snap.spans.get(SpanId::Nnn).nanos > 0);
     assert!(snap.counters.get(Counter::Intersections) > 0);
-    assert!(snap.counters.get(Counter::MergeSteps) > 0);
+    // Both non-hub phases probe bitmaps, and the graph is narrower than
+    // the NNN window, so nothing merge-joins.
+    assert!(snap.counters.get(Counter::BitmapProbes) > 0);
+    assert_eq!(snap.counters.get(Counter::MergeSteps), 0);
     assert!(snap.counters.get(Counter::TileVisits) > 0);
     assert!(
         snap.counters.get(Counter::H2hProbes) >= snap.counters.get(Counter::H2hHits),
@@ -96,6 +99,34 @@ fn pipeline_records_spans_counters_and_degrade_path() {
     assert!(hnn > 0 && probes > 0);
     lotus_telemetry::reset();
     assert_eq!(count_hnn_phase(&lg), hnn);
+    let snap = lotus_telemetry::snapshot();
+    assert_eq!(snap.counters.get(Counter::Intersections), pairs);
+    assert_eq!(
+        snap.counters.get(Counter::FruitlessIntersections),
+        fruitless
+    );
+    assert_eq!(snap.counters.get(Counter::MergeSteps), 0);
+    assert_eq!(snap.counters.get(Counter::BitmapProbes), probes);
+
+    // So does the NNN window kernel: one intersection per non-hub edge
+    // (v, u), fruitless when it closes no triangle, one bitmap probe per
+    // NHE(u) entry and no merge step. The graph has fewer vertices than
+    // the window has bits, so every vertex takes the bitmap path.
+    let (mut pairs, mut fruitless, mut probes, mut nnn) = (0u64, 0u64, 0u64, 0u64);
+    for v in 0..lg.num_vertices() {
+        let nhe_v = lg.nonhub_neighbors(v);
+        for &u in nhe_v {
+            let nhe_u = lg.nonhub_neighbors(u);
+            let common = nhe_u.iter().filter(|w| nhe_v.contains(w)).count() as u64;
+            pairs += 1;
+            fruitless += u64::from(common == 0);
+            probes += nhe_u.len() as u64;
+            nnn += common;
+        }
+    }
+    assert!(nnn > 0 && fruitless > 0);
+    lotus_telemetry::reset();
+    assert_eq!(count_nnn_phase(&lg), nnn);
     let snap = lotus_telemetry::snapshot();
     assert_eq!(snap.counters.get(Counter::Intersections), pairs);
     assert_eq!(

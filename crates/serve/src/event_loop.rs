@@ -367,10 +367,7 @@ fn event_loop(
         let _ = poller.wait(&mut events, Some(timeout));
         counters::incr(Counter::LoopWakeups);
         counters::add(Counter::ReadinessEvents, events.len() as u64);
-        shared
-            .counters
-            .loop_wakeups
-            .fetch_add(1, Ordering::Relaxed);
+        shared.counters.loop_wakeups.fetch_add(1, Ordering::Relaxed);
         shared
             .counters
             .readiness_events

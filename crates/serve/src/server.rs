@@ -37,10 +37,10 @@ use lotus_telemetry::{counters, Counter, Span, SpanId};
 
 use crate::event_loop::{self, NetConfig};
 use crate::pool::WorkerPool;
+use crate::proto::LoopStat;
 use crate::proto::{
     ErrorKind, Request, Response, StatsReply, MAX_CLIQUE_K, MAX_PER_VERTEX_SPAN, NO_DEADLINE,
 };
-use crate::proto::LoopStat;
 use crate::recovery::RecoveryReport;
 use crate::registry::{PreparedGraph, Registry, RegistryError};
 use crate::shards::{self, ShardStore};
@@ -740,9 +740,7 @@ fn execute_work(
             name, start, end, ..
         } => run_per_vertex(name, *start, *end, deadline, state),
         Request::KClique { name, k, .. } => run_kclique(name, *k, deadline, state),
-        Request::ShardCount { name, .. } => {
-            shards::run_shard_count(state.shards(), name, deadline)
-        }
+        Request::ShardCount { name, .. } => shards::run_shard_count(state.shards(), name, deadline),
         Request::ShardPerVertex {
             name, start, end, ..
         } => shards::run_shard_per_vertex(state.shards(), name, *start, *end, deadline),

@@ -231,9 +231,7 @@ pub(crate) fn run_shard_per_vertex(
             "deadline expired before counting",
         );
     }
-    let counts = shard
-        .subgraph
-        .per_vertex_owned(VertexRange { start, end });
+    let counts = shard.subgraph.per_vertex_owned(VertexRange { start, end });
     Response::PerVertex { start, counts }
 }
 
@@ -261,8 +259,10 @@ mod tests {
         // Single-node reference: one shard holding the whole graph.
         let whole = run_shard_load(&store, "whole", spec, 1, 0);
         assert!(matches!(whole, Response::Loaded { .. }), "{whole:?}");
-        let Response::Count { triangles: expected, .. } =
-            run_shard_count(&store, "whole", deadline(NO_DEADLINE))
+        let Response::Count {
+            triangles: expected,
+            ..
+        } = run_shard_count(&store, "whole", deadline(NO_DEADLINE))
         else {
             panic!("reference count failed");
         };
@@ -289,8 +289,9 @@ mod tests {
         let spec = "er:400:2400:5";
         let store = ShardStore::new();
         run_shard_load(&store, "whole", spec, 1, 0);
-        let Response::PerVertex { counts: expected, .. } =
-            run_shard_per_vertex(&store, "whole", 0, 400, deadline(NO_DEADLINE))
+        let Response::PerVertex {
+            counts: expected, ..
+        } = run_shard_per_vertex(&store, "whole", 0, 400, deadline(NO_DEADLINE))
         else {
             panic!("reference per-vertex failed");
         };

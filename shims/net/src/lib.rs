@@ -284,7 +284,9 @@ impl Poller {
 /// # Errors
 /// Returns the OS error from `accept4`/`accept` (e.g. `ECONNABORTED`,
 /// `EMFILE`), or from the fallback's `set_nonblocking`.
-pub fn accept_nonblocking(listener: &std::net::TcpListener) -> io::Result<Option<std::net::TcpStream>> {
+pub fn accept_nonblocking(
+    listener: &std::net::TcpListener,
+) -> io::Result<Option<std::net::TcpStream>> {
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     {
         if std::env::var_os("LOTUS_NET_BACKEND").is_none_or(|v| v != "fallback") {
@@ -822,7 +824,9 @@ mod tests {
         ];
         for (label, accept) in paths {
             let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-            listener.set_nonblocking(true).expect("nonblocking listener");
+            listener
+                .set_nonblocking(true)
+                .expect("nonblocking listener");
             let addr = listener.local_addr().expect("addr");
 
             // Empty queue: must report None, not block or error.

@@ -467,10 +467,7 @@ where
     }
 
     let n = items.len();
-    // A single item has nothing to split; deciding so without asking
-    // for the thread count spares `available_parallelism`'s cgroup
-    // reads, which cost tens of microseconds a call.
-    let chunks = if n <= 1 || sched::is_scheduled() {
+    let chunks = if sched::is_scheduled() {
         1
     } else {
         chunk_count(n, pool::effective_threads(), min_len)

@@ -75,12 +75,21 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// The host's available parallelism, read once. The read goes through
+/// cgroup files (tens of microseconds a call), and every parallel region
+/// asks, so the first answer is kept, as rayon does at pool start.
+fn host_threads() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
+}
+
 /// The number of logical executors parallel work may use right now:
 /// the configured limit, or the host's available parallelism when no
 /// limit is set. Always at least 1 (the calling thread).
 pub(crate) fn effective_threads() -> usize {
     match LIMIT.load(Ordering::Acquire) {
-        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        0 => host_threads(),
         n => n,
     }
 }
@@ -589,5 +598,23 @@ mod tests {
             assert_eq!(effective_threads(), 3);
         });
         assert_eq!(LIMIT.load(Ordering::Acquire), before);
+    }
+
+    #[test]
+    fn limit_overrides_the_cached_host_count() {
+        let _g = limit_lock();
+        let before = LIMIT.load(Ordering::Acquire);
+        let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        configure_threads(0);
+        assert_eq!(effective_threads(), host);
+        configure_threads(3);
+        assert_eq!(effective_threads(), 3);
+        install_limit(2, || assert_eq!(effective_threads(), 2));
+        assert_eq!(effective_threads(), 3);
+        configure_threads(0);
+        assert_eq!(effective_threads(), host);
+        install_limit(1, || assert_eq!(effective_threads(), 1));
+        assert_eq!(effective_threads(), host);
+        LIMIT.store(before, Ordering::Release);
     }
 }

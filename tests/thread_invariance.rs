@@ -1,7 +1,8 @@
 //! Counts must not depend on how many threads share the work: the
 //! per-type split (not only the total) is identical on 1, 2 and 4
 //! threads, for the plain, guarded and fused-phase paths, and so are the
-//! per-vertex counts (whose HNN phase keeps a hub bitmap per pool chunk).
+//! per-vertex counts (whose HNN and NNN phases keep a bitmap per pool
+//! chunk).
 
 use lotus::algos::forward::per_vertex_counts;
 use lotus::core::per_vertex::count_per_vertex;
