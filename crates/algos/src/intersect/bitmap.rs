@@ -45,6 +45,12 @@ impl Bitmap {
         (self.words[i >> 6] >> (i & 63)) & 1 != 0
     }
 
+    /// The backing words; bit `i` is bit `i & 63` of word `i >> 6`.
+    #[inline(always)]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Marks all elements of `items`.
     pub fn mark<N: NeighborId>(&mut self, items: &[N]) {
         for &x in items {

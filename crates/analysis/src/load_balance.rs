@@ -16,6 +16,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
+use lotus_algos::intersect::Bitmap;
 use lotus_core::count::count_single_tile;
 use lotus_core::tiling::{make_tiles, SqrtFractions, Tile};
 use lotus_core::LotusGraph;
@@ -109,6 +110,7 @@ pub fn measure_idle_threaded(lg: &LotusGraph, workers: usize, threshold: u32) ->
             let tiles = &tiles;
             s.spawn(move || {
                 let mut local = 0u64;
+                let mut marks = Bitmap::new(lg.hub_count as usize);
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= tiles.len() {
@@ -116,7 +118,7 @@ pub fn measure_idle_threaded(lg: &LotusGraph, workers: usize, threshold: u32) ->
                     }
                     let t = &tiles[i];
                     let start = Instant::now();
-                    local += count_single_tile(&lg.h2h, lg.hub_neighbors(t.v), t);
+                    local += count_single_tile(&lg.h2h, &mut marks, lg.hub_neighbors(t.v), t);
                     busy.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 }
                 found.fetch_add(local, Ordering::Relaxed);

@@ -6,6 +6,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use lotus_algos::intersect::Bitmap;
 use lotus_core::count::{count_hub_phase, count_single_tile};
 use lotus_core::preprocess::build_lotus_graph;
 use lotus_core::tiling::{make_tiles, Tile};
@@ -43,6 +44,7 @@ fn bench_tiling(c: &mut Criterion) {
                 .par_iter()
                 .map(|r| {
                     let mut local = 0u64;
+                    let mut marks = Bitmap::new(lg.hub_count as usize);
                     for v in r.iter() {
                         let he = lg.hub_neighbors(v);
                         let t = Tile {
@@ -50,7 +52,7 @@ fn bench_tiling(c: &mut Criterion) {
                             begin: 0,
                             end: he.len() as u32,
                         };
-                        local += count_single_tile(&lg.h2h, he, &t);
+                        local += count_single_tile(&lg.h2h, &mut marks, he, &t);
                     }
                     local
                 })

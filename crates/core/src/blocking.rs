@@ -31,7 +31,7 @@ pub fn count_hnn_blocked(lg: &LotusGraph, block_bits: u32) -> u64 {
         let hi = ((b + 1) * block).min(n as u64) as u32;
         total += fold_vertices(
             lg,
-            || ChunkBitmaps::hnn(lg),
+            || ChunkBitmaps::hubs(lg),
             |s, v| {
                 let nhe_v = lg.nonhub_neighbors(v);
                 // Contiguous sub-slice of neighbours inside [lo, hi).

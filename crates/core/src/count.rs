@@ -2,10 +2,13 @@
 //!
 //! Three phases over the [`LotusGraph`]:
 //!
-//! 1. **HHH + HHN** — for every vertex, probe all pairs of its hub
-//!    neighbours in the H2H bit array. Work is distributed as squared-edge
-//!    tiles (§4.6) so the quadratic pair loop of high-degree vertices is
-//!    split evenly.
+//! 1. **HHH + HHN** — for every vertex, count the pairs of its hub
+//!    neighbours connected in the H2H bit array. Each row of the pair
+//!    loop ANDs whole H2H words with the hub neighbours passed so far,
+//!    marked in a hub bitmap of at most 8 KiB per pool chunk, or probes
+//!    pair by pair when the row is short (DESIGN.md §3, substitution 8).
+//!    Work is distributed as squared-edge tiles (§4.6) so the quadratic
+//!    pair loop of high-degree vertices is split evenly.
 //! 2. **HNN** — for every non-hub edge `(v, u)`, probe the 16-bit HE list
 //!    of `u` against HE(v), marked in a hub bitmap of at most 8 KiB per
 //!    pool chunk (DESIGN.md §3, substitution 6).
@@ -30,6 +33,7 @@ use std::time::Instant;
 
 use rayon::prelude::*;
 
+use lotus_algos::intersect::Bitmap;
 use lotus_graph::UndirectedCsr;
 use lotus_resilience::{fault_point, isolate, RunGuard, StopReason};
 use lotus_telemetry::{counters, Counter, Span, SpanId};
@@ -37,7 +41,10 @@ use lotus_telemetry::{counters, Counter, Span, SpanId};
 use crate::breakdown::Breakdown;
 use crate::config::LotusConfig;
 use crate::h2h::TriBitArray;
-use crate::kernel::{fold_vertices, hnn_vertex, nnn_vertex, ChunkBitmaps, NNN_WINDOW};
+use crate::kernel::{
+    fold_chunks, fold_vertices, hnn_vertex, hub_pairs_tile, nnn_vertex, ChunkBitmaps, NNN_WINDOW,
+    PAIR_PROBE_CROSSOVER,
+};
 use crate::preprocess::{build_lotus_graph, build_lotus_graph_guarded};
 use crate::stats::LotusStats;
 use crate::structure::LotusGraph;
@@ -220,7 +227,7 @@ impl LotusCounter {
             self.config.tiling_threshold,
             self.config.partitions_per_vertex,
         );
-        let (hhh, hhn) = count_hub_pairs(lg, &tiles);
+        let (hhh, hhn) = count_hub_pairs(lg, &tiles, PAIR_PROBE_CROSSOVER);
         drop(span);
         breakdown.hhh_hhn = start.elapsed();
 
@@ -351,7 +358,7 @@ impl LotusCounter {
         let outcome = isolate(|| {
             let _span = Span::enter(SpanId::HhhHhn);
             fault_point!(panic: "core.phase.hhh_hhn");
-            count_hub_pairs_guarded(lg, &tiles, guard)
+            count_hub_pairs_guarded(lg, &tiles, guard, PAIR_PROBE_CROSSOVER)
         });
         breakdown.hhh_hhn = start.elapsed();
         let (hhh, hhn) = unwrap_phase(
@@ -431,60 +438,45 @@ fn unwrap_phase<C: Copy>(
     }
 }
 
-/// Phase 1 over a prepared tile list: returns `(hhh, hhn)`.
-fn count_hub_pairs(lg: &LotusGraph, tiles: &[Tile]) -> (u64, u64) {
-    tiles
-        .par_iter()
-        .with_min_len(PAR_GRAIN)
-        .map(|t| {
-            let found = count_tile(&lg.h2h, lg.hub_neighbors(t.v), t);
-            if lg.is_hub(t.v) {
-                (found, 0)
-            } else {
-                (0, found)
-            }
-        })
-        .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+/// Phase 1 over a prepared tile list: returns `(hhh, hhn)`. Rows of at
+/// most `crossover` pairs per H2H word probe pair by pair.
+pub(crate) fn count_hub_pairs(lg: &LotusGraph, tiles: &[Tile], crossover: usize) -> (u64, u64) {
+    fold_chunks(
+        tiles.par_iter().with_min_len(PAR_GRAIN),
+        || ChunkBitmaps::hubs(lg),
+        |s, t| hub_pair_split(lg, t, hub_pairs_tile_of(lg, &mut s.hubs, t, crossover)),
+        |a, b| (a.0 + b.0, a.1 + b.1),
+    )
 }
 
-/// Counts the connected hub pairs of one tile.
-///
-/// The row base `h1(h1−1)/2` is computed once per outer iteration and the
-/// inner loop probes consecutive bits (§4.4.1).
+/// Counts the connected hub pairs of tile `t` of `lg`.
 #[inline]
-fn count_tile(h2h: &TriBitArray, he: &[u16], tile: &Tile) -> u64 {
-    rayon::sched::log_read(he, "phase1.he");
-    let mut found = 0u64;
-    for i in tile.begin..tile.end {
-        let h1 = he[i as usize] as u32;
-        let base = TriBitArray::row_base(h1);
-        for &h2 in &he[..i as usize] {
-            // Lists are strictly ascending, so h2 < h1 always holds.
-            if h2h.is_set_with_base(base, h2 as u32) {
-                found += 1;
-            }
-        }
+fn hub_pairs_tile_of(lg: &LotusGraph, marks: &mut Bitmap, t: &Tile, crossover: usize) -> u64 {
+    hub_pairs_tile(
+        &lg.h2h,
+        marks,
+        lg.hub_neighbors(t.v),
+        t,
+        crossover,
+        |_, _| {},
+    )
+}
+
+/// Files the pairs `found` in tile `t` as `(hhh, hhn)`: a hub's pairs
+/// close HHH triangles, a non-hub's HHN ones.
+fn hub_pair_split(lg: &LotusGraph, t: &Tile, found: u64) -> (u64, u64) {
+    if lg.is_hub(t.v) {
+        (found, 0)
+    } else {
+        (0, found)
     }
-    #[cfg(feature = "telemetry")]
-    {
-        // Row `i` probes `i` earlier hub neighbours, so the tile's probe
-        // count is the difference of two triangular numbers.
-        let (b, e) = (tile.begin as u64, tile.end as u64);
-        counters::incr(Counter::TileVisits);
-        counters::add(
-            Counter::H2hProbes,
-            (e * e.saturating_sub(1) - b * b.saturating_sub(1)) / 2,
-        );
-        counters::add(Counter::H2hHits, found);
-    }
-    found
 }
 
 /// Phase 2: HNN triangles.
 fn count_hnn(lg: &LotusGraph) -> u64 {
     fold_vertices(
         lg,
-        || ChunkBitmaps::hnn(lg),
+        || ChunkBitmaps::hubs(lg),
         |s, v| hnn_vertex(lg, &mut s.hubs, v, lg.nonhub_neighbors(v), |_, _| {}),
         |a, b| a + b,
     )
@@ -504,17 +496,17 @@ pub(crate) fn count_nnn(lg: &LotusGraph, window: usize) -> u64 {
 /// 16 tiles. On a stop, workers that have not started yet contribute
 /// zero and the partial sums reduced so far are returned with the
 /// reason.
-fn count_hub_pairs_guarded(
+pub(crate) fn count_hub_pairs_guarded(
     lg: &LotusGraph,
     tiles: &[Tile],
     guard: &RunGuard,
+    crossover: usize,
 ) -> Result<(u64, u64), (StopReason, (u64, u64))> {
     let stopped = AtomicBool::new(false);
-    let partial = tiles
-        .par_iter()
-        .with_min_len(PAR_GRAIN)
-        .enumerate()
-        .map(|(i, t)| {
+    let partial = fold_chunks(
+        tiles.par_iter().with_min_len(PAR_GRAIN).enumerate(),
+        || ChunkBitmaps::hubs(lg),
+        |s, (i, t)| {
             if stopped.load(Ordering::Relaxed) {
                 return (0, 0);
             }
@@ -522,14 +514,10 @@ fn count_hub_pairs_guarded(
                 stopped.store(true, Ordering::Relaxed);
                 return (0, 0);
             }
-            let found = count_tile(&lg.h2h, lg.hub_neighbors(t.v), t);
-            if lg.is_hub(t.v) {
-                (found, 0)
-            } else {
-                (0, found)
-            }
-        })
-        .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
+            hub_pair_split(lg, t, hub_pairs_tile_of(lg, &mut s.hubs, t, crossover))
+        },
+        |a, b| (a.0 + b.0, a.1 + b.1),
+    );
     match guard.should_stop() {
         Some(reason) if stopped.load(Ordering::Relaxed) => Err((reason, partial)),
         _ => Ok(partial),
@@ -542,7 +530,7 @@ fn count_hnn_guarded(lg: &LotusGraph, guard: &RunGuard) -> Result<u64, (StopReas
     let stopped = AtomicBool::new(false);
     let partial = fold_vertices(
         lg,
-        || ChunkBitmaps::hnn(lg),
+        || ChunkBitmaps::hubs(lg),
         |s, v| {
             if stopped.load(Ordering::Relaxed) {
                 return 0;
@@ -615,7 +603,7 @@ pub fn lotus_count(graph: &UndirectedCsr) -> u64 {
 /// Public phase-1 entry over an explicit tile list: returns `(hhh, hhn)`.
 /// Used by the recursive extension and the load-balance experiments.
 pub fn count_hub_phase(lg: &LotusGraph, tiles: &[Tile]) -> (u64, u64) {
-    count_hub_pairs(lg, tiles)
+    count_hub_pairs(lg, tiles, PAIR_PROBE_CROSSOVER)
 }
 
 /// Public phase-2 (HNN) entry. Used by the recursive extension.
@@ -628,10 +616,12 @@ pub fn count_nnn_phase(lg: &LotusGraph) -> u64 {
     count_nnn(lg, NNN_WINDOW)
 }
 
-/// Counts the hub pairs of a single tile against the H2H array. Exposed
+/// Counts the connected hub pairs of a single tile of `he` against the
+/// H2H array. `marks` is the caller's scratch hub set: at least
+/// `h2h.hub_count()` bits, all-zero on entry and again on return. Exposed
 /// for the load-balance model (Table 9), which replays tiles one by one.
-pub fn count_single_tile(h2h: &TriBitArray, he: &[u16], tile: &Tile) -> u64 {
-    count_tile(h2h, he, tile)
+pub fn count_single_tile(h2h: &TriBitArray, marks: &mut Bitmap, he: &[u16], tile: &Tile) -> u64 {
+    hub_pairs_tile(h2h, marks, he, tile, PAIR_PROBE_CROSSOVER, |_, _| {})
 }
 
 #[cfg(test)]

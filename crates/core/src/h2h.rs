@@ -101,6 +101,21 @@ impl TriBitArray {
         (self.words[(bit >> 6) as usize] >> (bit & 63)) & 1 != 0
     }
 
+    /// The 64 bits of the array starting at bit `row_base + 64·w`: row
+    /// `h1`'s bits for `h2` in `64w..64w + 64` when `row_base` is
+    /// `h1(h1−1)/2`, bit `j` for `h2 = 64w + j`. A row base is rarely
+    /// word-aligned, so the word is funnel-shifted out of two stored
+    /// words; bits past the last stored word read as zero. Bits past the
+    /// row's end belong to later rows: callers mask them off.
+    #[inline(always)]
+    pub fn row_word(&self, row_base: u64, w: usize) -> u64 {
+        let bit = row_base + 64 * w as u64;
+        let at = (bit >> 6) as usize;
+        let lo = self.words[at];
+        let hi = self.words.get(at + 1).copied().unwrap_or(0);
+        ((u128::from(hi) << 64 | u128::from(lo)) >> (bit & 63)) as u64
+    }
+
     /// Row base for hub `h1` (0 for hub 0, whose row is empty).
     #[inline(always)]
     pub fn row_base(h1: u32) -> u64 {
@@ -210,6 +225,30 @@ mod tests {
         for h2 in 0..7 {
             assert_eq!(a.is_set_with_base(base, h2), a.is_set(7, h2));
         }
+    }
+
+    #[test]
+    fn row_words_match_bit_probes_up_to_the_last_row() {
+        // 67 hubs: row bases are unaligned, and row 66 ends inside the
+        // last stored word, so its second word reads past the array.
+        let n = 67u32;
+        let mut a = TriBitArray::new(n);
+        for h1 in 1..n {
+            for h2 in (h1 % 3..h1).step_by(3) {
+                a.set(h1, h2);
+            }
+        }
+        for h1 in 1..n {
+            let base = TriBitArray::row_base(h1);
+            for w in 0..h1.div_ceil(64) as usize {
+                let word = a.row_word(base, w);
+                for j in 0..64u32.min(h1 - 64 * w as u32) {
+                    let h2 = 64 * w as u32 + j;
+                    assert_eq!(word >> j & 1 != 0, a.is_set(h1, h2), "({h1}, {h2})");
+                }
+            }
+        }
+        assert_eq!(a.row_word(TriBitArray::row_base(n - 1), 1), 0);
     }
 
     #[test]

@@ -12,46 +12,46 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use rayon::prelude::*;
 
 use crate::count::PAR_GRAIN;
-use crate::kernel::{fold_vertices, hnn_vertex, nnn_vertex, ChunkBitmaps, NNN_WINDOW};
+use crate::kernel::{
+    fold_chunks, fold_vertices, hnn_vertex, hub_pairs_tile, nnn_vertex, ChunkBitmaps, NNN_WINDOW,
+    PAIR_PROBE_CROSSOVER,
+};
 use crate::structure::LotusGraph;
 use crate::tiling::{make_tiles, Tile};
 
 /// Counts triangles per vertex (original IDs). The sum over all vertices
 /// is `3 × total triangles`.
 pub fn count_per_vertex(lg: &LotusGraph) -> Vec<u64> {
-    count_per_vertex_in(lg, NNN_WINDOW)
+    count_per_vertex_in(lg, NNN_WINDOW, PAIR_PROBE_CROSSOVER)
 }
 
-/// [`count_per_vertex`] with a `window`-bit NNN window per chunk.
-pub(crate) fn count_per_vertex_in(lg: &LotusGraph, window: usize) -> Vec<u64> {
+/// [`count_per_vertex`] with a `window`-bit NNN window per chunk and
+/// phase-1 rows of at most `crossover` pairs per H2H word probed pair by
+/// pair.
+pub(crate) fn count_per_vertex_in(lg: &LotusGraph, window: usize, crossover: usize) -> Vec<u64> {
     let n = lg.num_vertices() as usize;
     let counts: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
 
     // Phase 1: HHH + HHN — corners are (v, h1, h2).
     let tiles = make_tiles(&lg.he, u32::MAX, 1);
-    tiles
-        .par_iter()
-        .with_min_len(PAR_GRAIN)
-        .for_each(|t: &Tile| {
+    fold_chunks(
+        tiles.par_iter().with_min_len(PAR_GRAIN),
+        || ChunkBitmaps::hubs(lg),
+        |s, t: &Tile| {
             let he = lg.hub_neighbors(t.v);
-            rayon::sched::log_read(he, "per_vertex.phase1.he");
-            for i in t.begin..t.end {
-                let h1 = he[i as usize] as u32;
-                let base = crate::h2h::TriBitArray::row_base(h1);
-                for &h2 in &he[..i as usize] {
-                    if lg.h2h.is_set_with_base(base, h2 as u32) {
-                        counts[t.v as usize].fetch_add(1, Ordering::Relaxed);
-                        counts[h1 as usize].fetch_add(1, Ordering::Relaxed);
-                        counts[h2 as usize].fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        });
+            hub_pairs_tile(&lg.h2h, &mut s.hubs, he, t, crossover, |h1, h2| {
+                counts[t.v as usize].fetch_add(1, Ordering::Relaxed);
+                counts[usize::from(h1)].fetch_add(1, Ordering::Relaxed);
+                counts[usize::from(h2)].fetch_add(1, Ordering::Relaxed);
+            });
+        },
+        |(), ()| (),
+    );
 
     // Phase 2: HNN — corners are (v, u, h).
     fold_vertices(
         lg,
-        || ChunkBitmaps::hnn(lg),
+        || ChunkBitmaps::hubs(lg),
         |s, v| {
             hnn_vertex(lg, &mut s.hubs, v, lg.nonhub_neighbors(v), |u, h| {
                 counts[v as usize].fetch_add(1, Ordering::Relaxed);

@@ -9,8 +9,14 @@
 //!    non-hub (NHE, 32-bit) lists;
 //! 3. atomic population of the H2H triangular bit array for hub–hub edges.
 //!
-//! The pass over vertices is parallel (two passes: degree count + fill,
-//! with prefix-sum offsets in between), mirroring the paper's `par_for`.
+//! The pass over vertices is parallel, mirroring the paper's `par_for`,
+//! in two passes with prefix-sum offsets in between. Pass 1 counts each
+//! vertex's lower hub and non-hub neighbours without branches. Pass 2
+//! compacts the lower neighbours, again without branches, into a buffer
+//! the pool chunk owns, sorts it once and splits it: hub IDs come first,
+//! so the sorted head is HE(v) and the rest NHE(v). The hub-first
+//! relabeling picks hubs with a counting sort over degrees
+//! ([`lotus_graph::degree::top_k_by_degree`]).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -23,6 +29,13 @@ use crate::config::LotusConfig;
 use crate::count::PAR_GRAIN;
 use crate::h2h::TriBitArrayBuilder;
 use crate::structure::LotusGraph;
+
+/// Entries a pass-2 scratch buffer starts with: 4 KiB, past the largest
+/// block glibc's per-thread cache keeps. A buffer grown from empty frees
+/// small blocks into that cache, where they sit at the top of the heap
+/// above the LOTUS arrays and keep the arrays' memory resident after the
+/// graph is dropped.
+const SCRATCH_ENTRIES: usize = 1024;
 
 /// Builds the LOTUS graph structure from an undirected graph.
 pub fn build_lotus_graph(graph: &UndirectedCsr, config: &LotusConfig) -> LotusGraph {
@@ -45,6 +58,17 @@ pub fn build_lotus_graph_guarded(
     config: &LotusConfig,
     guard: &RunGuard,
 ) -> Result<LotusGraph, StopReason> {
+    build_guarded_with(graph, config, guard, || {})
+}
+
+/// [`build_lotus_graph_guarded`], running `between_passes` after pass 1
+/// has finished (tests cancel the guard there).
+fn build_guarded_with(
+    graph: &UndirectedCsr,
+    config: &LotusConfig,
+    guard: &RunGuard,
+    between_passes: impl FnOnce(),
+) -> Result<LotusGraph, StopReason> {
     fault_point!(panic: "core.preprocess.build");
     let n = graph.num_vertices();
     let hub_count = config.resolved_hub_count(n);
@@ -64,7 +88,8 @@ pub fn build_lotus_graph_guarded(
     // Line 1 of Algorithm 2: the relabeling array.
     let relabeling = Relabeling::hub_first(&graph.degrees(), head_count as usize);
 
-    // Pass 1: per-new-vertex HE/NHE degrees.
+    // Pass 1: per-new-vertex HE/NHE degrees. A lower neighbour is a hub
+    // neighbour iff it lies below both `v` and `hub_count`.
     let mut he_deg = vec![0u32; n as usize];
     let mut nhe_deg = vec![0u32; n as usize];
     he_deg
@@ -79,24 +104,24 @@ pub fn build_lotus_graph_guarded(
             }
             rayon::sched::log_write(std::slice::from_ref(he_d), "preprocess.he_deg");
             rayon::sched::log_write(std::slice::from_ref(nhe_d), "preprocess.nhe_deg");
-            let v_old = relabeling.old_id(v_new);
-            let nbrs = graph.neighbors(v_old);
+            let nbrs = graph.neighbors(relabeling.old_id(v_new));
             rayon::sched::log_read(nbrs, "preprocess.csr_neighbors");
+            let hub_below = v_new.min(hub_count);
+            let (mut hubs, mut lower) = (0u32, 0u32);
             for &u_old in nbrs {
+                // Symmetric edges (u ≥ v) are skipped; self-edges were
+                // removed at build.
                 let u_new = relabeling.new_id(u_old);
-                if u_new >= v_new {
-                    continue; // symmetric edge (self-edges were removed at build)
-                }
-                if u_new < hub_count {
-                    *he_d += 1;
-                } else {
-                    *nhe_d += 1;
-                }
+                hubs += u32::from(u_new < hub_below);
+                lower += u32::from(u_new < v_new);
             }
+            *he_d = hubs;
+            *nhe_d = lower - hubs;
         });
     if let Some(reason) = stop_reason(guard, &stopped) {
         return Err(reason);
     }
+    between_passes();
 
     let prefix = |deg: &[u32]| -> Vec<u64> {
         let mut offsets = Vec::with_capacity(deg.len() + 1);
@@ -112,7 +137,10 @@ pub fn build_lotus_graph_guarded(
     let nhe_offsets = prefix(&nhe_deg);
 
     // Pass 2: fill the flat arrays; one writer per vertex, so the slices
-    // can be handed out disjointly.
+    // can be handed out disjointly. Each pool chunk compacts a vertex's
+    // lower neighbours into a scratch buffer of its own and sorts it once
+    // (setEdges(), Algorithm 2 lines 22-23): hub IDs lie below every
+    // non-hub ID, so the sorted buffer is HE(v) followed by NHE(v).
     let mut he_entries = vec![0u16; he_offsets.last().copied().unwrap_or(0) as usize];
     let mut nhe_entries = vec![0u32; nhe_offsets.last().copied().unwrap_or(0) as usize];
     let h2h = TriBitArrayBuilder::new(hub_count);
@@ -125,39 +153,42 @@ pub fn build_lotus_graph_guarded(
             .zip(nhe_slices.into_par_iter())
             .with_min_len(PAR_GRAIN)
             .enumerate()
-            .for_each(|(v_new, (he_out, nhe_out))| {
-                let v_new = v_new as u32;
-                if poll(v_new) {
-                    return;
-                }
-                rayon::sched::log_write(he_out, "preprocess.he_entries");
-                rayon::sched::log_write(nhe_out, "preprocess.nhe_entries");
-                let v_old = relabeling.old_id(v_new);
-                let nbrs = graph.neighbors(v_old);
-                rayon::sched::log_read(nbrs, "preprocess.csr_neighbors");
-                let mut hi = 0;
-                let mut ni = 0;
-                for &u_old in nbrs {
-                    let u_new = relabeling.new_id(u_old);
-                    if u_new >= v_new {
-                        continue;
+            .for_each_init(
+                || Vec::with_capacity(SCRATCH_ENTRIES),
+                |lower: &mut Vec<u32>, (v_new, (he_out, nhe_out))| {
+                    let v_new = v_new as u32;
+                    if poll(v_new) {
+                        return;
                     }
-                    if u_new < hub_count {
-                        he_out[hi] = u_new as u16;
-                        hi += 1;
-                        if v_new < hub_count {
-                            // Hub neighbour of a hub: record in H2H.
-                            h2h.set(v_new, u_new);
+                    rayon::sched::log_write(he_out, "preprocess.he_entries");
+                    rayon::sched::log_write(nhe_out, "preprocess.nhe_entries");
+                    let nbrs = graph.neighbors(relabeling.old_id(v_new));
+                    rayon::sched::log_read(nbrs, "preprocess.csr_neighbors");
+                    if lower.len() < nbrs.len() {
+                        lower.resize(nbrs.len(), 0);
+                    }
+                    let mut len = 0;
+                    for &u_old in nbrs {
+                        let u_new = relabeling.new_id(u_old);
+                        lower[len] = u_new;
+                        len += usize::from(u_new < v_new);
+                    }
+                    let lower_v = &mut lower[..len];
+                    lower_v.sort_unstable();
+                    let (hubs, rest) = lower_v.split_at(he_out.len());
+                    for (h, &u) in he_out.iter_mut().zip(hubs) {
+                        *h = u as u16;
+                    }
+                    nhe_out.copy_from_slice(rest);
+                    if v_new < hub_count {
+                        // A hub's lower neighbours are all hubs: record them
+                        // in H2H.
+                        for &h in hubs {
+                            h2h.set(v_new, h);
                         }
-                    } else {
-                        nhe_out[ni] = u_new;
-                        ni += 1;
                     }
-                }
-                // setEdges() sorts each list (Algorithm 2, lines 22-23).
-                he_out.sort_unstable();
-                nhe_out.sort_unstable();
-            });
+                },
+            );
     }
     if let Some(reason) = stop_reason(guard, &stopped) {
         return Err(reason);
@@ -306,5 +337,86 @@ mod tests {
         assert_eq!(lg.num_vertices(), g.num_vertices());
         assert_eq!(lg.num_edges, g.num_edges());
         lg.validate().expect("valid");
+    }
+
+    /// Algorithm 2, sequentially and straight from its definition: the
+    /// head by a comparator sort, each vertex's lower neighbours split
+    /// into hubs and non-hubs and sorted, H2H from the hubs' lists.
+    fn reference(graph: &UndirectedCsr, config: &LotusConfig) -> LotusGraph {
+        let n = graph.num_vertices();
+        let hub_count = config.resolved_hub_count(n);
+        let degrees = graph.degrees();
+        let mut head: Vec<u32> = (0..n).collect();
+        head.sort_by_key(|&v| (std::cmp::Reverse(degrees[v as usize]), v));
+        head.truncate(config.resolved_head_count(n) as usize);
+        let mut old_to_new = vec![u32::MAX; n as usize];
+        for (new, &old) in head.iter().enumerate() {
+            old_to_new[old as usize] = new as u32;
+        }
+        let tail = old_to_new.iter_mut().filter(|new| **new == u32::MAX);
+        for (new, next) in tail.zip(head.len() as u32..) {
+            *new = next;
+        }
+        let relabeling = Relabeling::from_old_to_new(old_to_new);
+        let mut he = vec![Vec::new(); n as usize];
+        let mut nhe = vec![Vec::new(); n as usize];
+        let mut h2h = crate::h2h::TriBitArray::new(hub_count);
+        for v in 0..n {
+            for &u_old in graph.neighbors(relabeling.old_id(v)) {
+                let u = relabeling.new_id(u_old);
+                if u >= v {
+                    continue;
+                }
+                if u < hub_count {
+                    he[v as usize].push(u as u16);
+                    if v < hub_count {
+                        h2h.set(v, u);
+                    }
+                } else {
+                    nhe[v as usize].push(u);
+                }
+            }
+            he[v as usize].sort_unstable();
+            nhe[v as usize].sort_unstable();
+        }
+        LotusGraph {
+            hub_count,
+            h2h,
+            he: Csr::from_adjacency(he),
+            nhe: Csr::from_adjacency(nhe),
+            relabeling,
+            num_edges: graph.num_edges(),
+        }
+    }
+
+    #[test]
+    fn matches_the_sequential_reference() {
+        let rmat = lotus_gen::Rmat::new(11, 8).generate(3);
+        let er = lotus_gen::ErdosRenyi::new(1500, 12_000).generate(3);
+        for (g, what) in [(&rmat, "rmat"), (&er, "er"), (&figure2_graph(), "figure 2")] {
+            for hubs in [0u32, 1, 64, g.num_vertices()] {
+                let config = cfg(hubs);
+                let got = build_lotus_graph(g, &config);
+                let want = reference(g, &config);
+                let at = format!("{what} hubs {hubs}");
+                assert_eq!(got.relabeling, want.relabeling, "{at}: relabeling");
+                assert_eq!(got.he, want.he, "{at}: HE");
+                assert_eq!(got.nhe, want.nhe, "{at}: NHE");
+                assert_eq!(got.h2h, want.h2h, "{at}: H2H");
+                assert_eq!(got.hub_count, want.hub_count, "{at}: hub count");
+            }
+        }
+    }
+
+    #[test]
+    fn a_cancelled_guard_stops_either_pass() {
+        use lotus_resilience::CancelToken;
+        let g = lotus_gen::Rmat::new(11, 8).generate(3);
+        let token = CancelToken::new();
+        let guard = RunGuard::unlimited().with_cancel(token.clone());
+        let in_pass_2 = build_guarded_with(&g, &cfg(64), &guard, || token.cancel());
+        assert_eq!(in_pass_2.err(), Some(StopReason::Cancelled));
+        let in_pass_1 = build_guarded_with(&g, &cfg(64), &guard, || unreachable!());
+        assert_eq!(in_pass_1.err(), Some(StopReason::Cancelled));
     }
 }

@@ -7,10 +7,12 @@
 
 use lotus_core::count::LotusCounter;
 #[cfg(feature = "telemetry")]
-use lotus_core::count::{count_hnn_phase, count_nnn_phase};
+use lotus_core::count::{count_hnn_phase, count_hub_phase, count_nnn_phase};
 #[cfg(feature = "telemetry")]
 use lotus_core::preprocess::build_lotus_graph;
 use lotus_core::resilient::count_with_budget;
+#[cfg(feature = "telemetry")]
+use lotus_core::tiling::{make_tiles, Tile};
 use lotus_core::{HubCount, LotusConfig};
 use lotus_resilience::{CancelToken, MemoryBudget, RunGuard};
 #[cfg(not(feature = "telemetry"))]
@@ -76,11 +78,28 @@ fn pipeline_records_spans_counters_and_degrade_path() {
     assert_eq!(snap.spans.get(SpanId::Preprocess).entries, 1);
     assert_eq!(snap.counters.get(Counter::GuardStops), 1);
 
+    // Phase 1 records what the per-pair probe loop recorded, whichever
+    // path each row takes: one tile visit per tile, one H2H probe per
+    // hub pair the tiles cover, and one hit per connected pair. Tiles
+    // split above a low threshold start in the middle of their lists.
+    let lg = build_lotus_graph(&g, &cfg(64));
+    let tiles = make_tiles(&lg.he, 8, 4);
+    assert!(tiles.iter().any(|t| t.begin > 0));
+    lotus_telemetry::reset();
+    let (hhh, hhn) = count_hub_phase(&lg, &tiles);
+    assert!(hhh > 0 && hhn > 0);
+    let snap = lotus_telemetry::snapshot();
+    assert_eq!(
+        snap.counters.get(Counter::H2hProbes),
+        tiles.iter().map(Tile::work).sum::<u64>()
+    );
+    assert_eq!(snap.counters.get(Counter::H2hHits), hhh + hhn);
+    assert_eq!(snap.counters.get(Counter::TileVisits), tiles.len() as u64);
+
     // The HNN bitmap kernel records what the merge join recorded: one
     // intersection per non-hub edge (v, u) with a non-empty HE(v),
     // fruitless when it closes no triangle. It takes no merge step and
     // probes every HE(u) entry once.
-    let lg = build_lotus_graph(&g, &cfg(64));
     let (mut pairs, mut fruitless, mut probes, mut hnn) = (0u64, 0u64, 0u64, 0u64);
     for v in 0..lg.num_vertices() {
         let he_v = lg.hub_neighbors(v);

@@ -154,16 +154,34 @@ impl DegreeDistribution {
 
 /// Returns the `k` vertices of highest degree, ties broken by lower vertex
 /// ID first (deterministic). Used to pick the hub set.
+///
+/// A counting sort in O(|V| + max degree): a degree histogram gives each
+/// degree its first output slot, counted from the highest degree down,
+/// and one pass in ID order places every vertex that lands among the
+/// first `k`.
 pub fn top_k_by_degree(degrees: &[u32], k: usize) -> Vec<VertexId> {
-    let mut order: Vec<VertexId> = (0..degrees.len() as u32).collect();
-    let k = k.min(order.len());
-    order.par_sort_unstable_by(|&a, &b| {
-        degrees[b as usize]
-            .cmp(&degrees[a as usize])
-            .then_with(|| a.cmp(&b))
-    });
-    order.truncate(k);
-    order
+    let k = k.min(degrees.len());
+    if k == 0 {
+        return Vec::new();
+    }
+    let max = degrees.iter().copied().max().unwrap_or(0) as usize;
+    let mut next = vec![0usize; max + 1];
+    for &d in degrees {
+        next[d as usize] += 1;
+    }
+    let mut slot = 0;
+    for count in next.iter_mut().rev() {
+        (*count, slot) = (slot, slot + *count);
+    }
+    let mut top = vec![0; k];
+    for (v, &d) in degrees.iter().enumerate() {
+        let at = next[d as usize];
+        if at < k {
+            top[at] = v as VertexId;
+        }
+        next[d as usize] += 1;
+    }
+    top
 }
 
 #[cfg(test)]
@@ -229,6 +247,62 @@ mod tests {
         let degrees = vec![3, 5, 5, 1, 0];
         assert_eq!(top_k_by_degree(&degrees, 3), vec![1, 2, 0]);
         assert_eq!(top_k_by_degree(&degrees, 10).len(), 5);
+    }
+
+    /// The comparator sort the counting sort replaced.
+    fn sorted_top_k(degrees: &[u32], k: usize) -> Vec<VertexId> {
+        let mut order: Vec<VertexId> = (0..degrees.len() as u32).collect();
+        order.sort_by(|&a, &b| {
+            degrees[b as usize]
+                .cmp(&degrees[a as usize])
+                .then_with(|| a.cmp(&b))
+        });
+        order.truncate(k);
+        order
+    }
+
+    #[test]
+    fn top_k_matches_the_comparator_sort() {
+        let n = 300usize;
+        // A star: one vertex of degree |V| − 1, the rest of degree 1.
+        let mut star = vec![1u32; n];
+        star[137] = n as u32 - 1;
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut skewed = || {
+            (0..n)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1);
+                    // Many ties, degree-0 vertices, and a heavy head.
+                    let r = (state >> 33) as u32;
+                    if r.is_multiple_of(7) {
+                        0
+                    } else {
+                        (r % 5).pow(r % 4)
+                    }
+                })
+                .collect::<Vec<u32>>()
+        };
+        let inputs = [
+            vec![],
+            vec![0u32; n],
+            vec![4u32; n],
+            star,
+            skewed(),
+            skewed(),
+            (0..n as u32).collect(),
+            (0..n as u32).rev().collect(),
+        ];
+        for degrees in &inputs {
+            for k in [0, 1, 2, 30, n / 2, n - 1, n, n + 5] {
+                assert_eq!(
+                    top_k_by_degree(degrees, k),
+                    sorted_top_k(degrees, k),
+                    "k {k} degrees {degrees:?}"
+                );
+            }
+        }
     }
 
     #[test]

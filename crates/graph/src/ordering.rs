@@ -7,8 +7,6 @@
 //! locality the input ordering had — a known artefact destroyed by full
 //! degree ordering.
 
-use rayon::prelude::*;
-
 use crate::csr::UndirectedCsr;
 use crate::edge_list::EdgeList;
 use crate::ids::VertexId;
@@ -53,12 +51,7 @@ impl Relabeling {
     /// Full degree-descending relabeling (ties by original ID), as used by
     /// the baseline Forward algorithm.
     pub fn degree_descending(degrees: &[u32]) -> Self {
-        let mut order: Vec<VertexId> = (0..degrees.len() as u32).collect();
-        order.par_sort_unstable_by(|&a, &b| {
-            degrees[b as usize]
-                .cmp(&degrees[a as usize])
-                .then_with(|| a.cmp(&b))
-        });
+        let order = crate::degree::top_k_by_degree(degrees, degrees.len());
         let mut old_to_new = vec![0u32; degrees.len()];
         for (new, &old) in order.iter().enumerate() {
             old_to_new[old as usize] = new as u32;

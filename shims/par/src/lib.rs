@@ -285,6 +285,29 @@ impl<T, F: Fn(T) + Sync> Consumer<T> for ForEachConsumer<F> {
     fn merge(&self, (): (), (): ()) {}
 }
 
+struct ForEachInitConsumer<Init, F> {
+    init: Init,
+    op: F,
+}
+
+impl<T, S, Init, F> Consumer<T> for ForEachInitConsumer<Init, F>
+where
+    Init: Fn() -> S + Sync,
+    F: Fn(&mut S, T) + Sync,
+{
+    const COMBINES: bool = false;
+    type Out = ();
+
+    fn consume<I: Iterator<Item = T>>(&self, items: I) {
+        let mut scratch = (self.init)();
+        for x in items {
+            (self.op)(&mut scratch, x);
+        }
+    }
+
+    fn merge(&self, (): (), (): ()) {}
+}
+
 struct CollectConsumer;
 
 impl<T: Send> Consumer<T> for CollectConsumer {
@@ -677,6 +700,16 @@ pub trait ParallelIterator: Sized {
         F: Fn(Self::Item) + Sync + Send,
     {
         drive(self.into_par(), &ForEachConsumer { f });
+    }
+
+    /// Runs `op` on every item with a scratch value made by `init` once
+    /// per pool chunk (rayon: `for_each_init`, which makes one per job).
+    fn for_each_init<S, Init, F>(self, init: Init, op: F)
+    where
+        Init: Fn() -> S + Sync + Send,
+        F: Fn(&mut S, Self::Item) + Sync + Send,
+    {
+        drive(self.into_par(), &ForEachInitConsumer { init, op });
     }
 
     /// Sums the items (rayon: `sum`).
@@ -1272,6 +1305,38 @@ mod tests {
         let chunks = split_chunks((0..10u32).collect(), 4);
         assert_eq!(chunks, vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7], vec![8, 9]]);
         assert!(split_chunks(Vec::<u32>::new(), 4).is_empty());
+    }
+
+    #[test]
+    fn for_each_init_makes_one_scratch_per_chunk() {
+        use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+        let _g = pool::limit_lock();
+        let pool = ThreadPoolBuilder::new()
+            .num_threads(4)
+            .build()
+            .expect("pool");
+        pool.install(|| {
+            let (inits, sum) = (AtomicUsize::new(0), AtomicU64::new(0));
+            (0u64..10_000)
+                .into_par_iter()
+                .with_min_len(1024)
+                .for_each_init(
+                    || {
+                        inits.fetch_add(1, Ordering::Relaxed);
+                        0u64
+                    },
+                    |seen, x| {
+                        *seen += 1;
+                        sum.fetch_add(x, Ordering::Relaxed);
+                    },
+                );
+            assert_eq!(sum.into_inner(), (0u64..10_000).sum());
+            let inits = inits.into_inner();
+            assert!(
+                (1..=10_000 / 1024).contains(&inits),
+                "{inits} scratch values"
+            );
+        });
     }
 
     #[test]
