@@ -37,7 +37,7 @@ USAGE:
               |shard-stat|join ADDR> [--deadline-ms MS]
   lotus loadgen <addr> [--suite ci] [--connections N] [--requests M]
                 [--seed S] [--graph SPEC] [--json FILE] [--pipeline P]
-                [--legacy-threads] [--cluster]
+                [--cluster]
   lotus help
 
 Graph files: whitespace edge lists (any extension) or binary .lotg files.
@@ -66,8 +66,7 @@ loops: --event-threads sizes the loop set (default: cores/4, max 4)
 and --max-conns caps concurrently open connections (default 4096,
 excess is refused with a structured Overloaded frame). loadgen drives
 all connections through one multiplexed event loop; --pipeline keeps P
-requests in flight per connection (default 1) and --legacy-threads
-falls back to the old thread-per-connection driver.
+requests in flight per connection (default 1).
 
 cluster serve runs the fan-out coordinator (DESIGN.md §16): it fronts
 the shard daemons named by repeatable --shard flags (more can join at
@@ -277,8 +276,6 @@ pub struct LoadgenCliArgs {
     pub json: Option<String>,
     /// In-flight requests per connection (`--pipeline`, default 1).
     pub pipeline: Option<usize>,
-    /// Use the legacy thread-per-connection driver (`--legacy-threads`).
-    pub legacy_threads: bool,
     /// Target is a cluster coordinator (`--cluster`): use the
     /// shard-safe request mix and write the `cluster` artifact section.
     pub cluster: bool,
@@ -942,7 +939,6 @@ pub fn parse(argv: &[&str]) -> Result<Command, ParseError> {
             let mut deadline_ms = None;
             let mut json = None;
             let mut pipeline = None;
-            let mut legacy_threads = false;
             let mut cluster = false;
             while let Some(arg) = it.next() {
                 match arg {
@@ -960,7 +956,6 @@ pub fn parse(argv: &[&str]) -> Result<Command, ParseError> {
                         }
                         pipeline = Some(depth);
                     }
-                    "--legacy-threads" => legacy_threads = true,
                     "--cluster" => cluster = true,
                     "--connections" | "-c" => {
                         connections = Some(parse_num(arg, &take_value(arg, &mut it)?)?);
@@ -991,7 +986,6 @@ pub fn parse(argv: &[&str]) -> Result<Command, ParseError> {
                 deadline_ms,
                 json,
                 pipeline,
-                legacy_threads,
                 cluster,
             }))
         }
@@ -1642,7 +1636,6 @@ mod tests {
                 deadline_ms: None,
                 json: None,
                 pipeline: None,
-                legacy_threads: false,
                 cluster: false,
             })
         );
@@ -1663,7 +1656,6 @@ mod tests {
             "serve.json",
             "--pipeline",
             "4",
-            "--legacy-threads",
         ])
         .unwrap();
         match c {
@@ -1675,7 +1667,6 @@ mod tests {
                 assert_eq!(a.deadline_ms, Some(500));
                 assert_eq!(a.json.as_deref(), Some("serve.json"));
                 assert_eq!(a.pipeline, Some(4));
-                assert!(a.legacy_threads);
                 assert!(!a.cluster);
             }
             _ => panic!("wrong command"),
@@ -1684,6 +1675,7 @@ mod tests {
         assert!(parse(&["loadgen", "a:1", "--suite", "nope"]).is_err());
         assert!(parse(&["loadgen", "a:1", "--connections", "x"]).is_err());
         assert!(parse(&["loadgen", "a:1", "--pipeline", "0"]).is_err());
+        assert!(parse(&["loadgen", "a:1", "--legacy-threads"]).is_err());
     }
 
     #[test]

@@ -871,7 +871,6 @@ pub fn loadgen(args: LoadgenCliArgs) -> Result<String, CliError> {
     if let Some(pipeline) = args.pipeline {
         config.pipeline = pipeline;
     }
-    config.legacy_threads = args.legacy_threads;
     config.cluster = args.cluster;
     // Backoff jitter follows the mix seed so two runs retry identically.
     config.retry = lotus_resilience::RetryPolicy::serve_default(config.seed);
@@ -1391,7 +1390,6 @@ mod tests {
             deadline_ms: None,
             json: Some(json.clone()),
             pipeline: Some(2),
-            legacy_threads: false,
             cluster: false,
         })
         .unwrap();
@@ -1472,7 +1470,6 @@ mod tests {
             deadline_ms: None,
             json: Some(json.clone()),
             pipeline: Some(2),
-            legacy_threads: false,
             cluster: true,
         })
         .unwrap();

@@ -1,10 +1,15 @@
 //! The cluster coordinator daemon (DESIGN.md §16).
 //!
-//! A thread-per-connection LSRV front-end that owns the shard map and
-//! answers the same wire protocol as a single `lotus-serve` daemon —
-//! clients do not change. Graph queries fan out to every shard holding
-//! a partition (over the pipelined [`crate::fleet`]), and per-shard
-//! answers merge into one exact result:
+//! An LSRV front-end that owns the shard map and answers the same wire
+//! protocol as a single `lotus-serve` daemon — clients do not change.
+//! It runs on the daemon's own event loop ([`lotus_serve::event_loop`]):
+//! `Ping`/`Stats`/`Drain` answer inline on a loop thread, and everything
+//! that touches the fleet or the journal runs panic-isolated on the
+//! bounded worker pool, so the coordinator shares the daemon's quotas,
+//! idle eviction, pipelining, drain grace and admission control. Graph
+//! queries fan out to every shard holding a partition (over the
+//! pipelined [`crate::fleet`]), and per-shard answers merge into one
+//! exact result:
 //!
 //! * `Count` → `ShardCount` to shards `0..parts`; triangles **sum**
 //!   (each triangle is owned by exactly one shard — the one whose
@@ -29,18 +34,19 @@
 //! what it needs from the map, releases it, fans out, then re-acquires
 //! to record the outcome. No ordering edges, no cycles.
 
-use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lotus_resilience::retry::RetryPolicy;
-use lotus_resilience::Deadline;
+use lotus_resilience::{isolate, Deadline};
+use lotus_serve::event_loop::{self, request_deadline, Engine, Handler};
 use lotus_serve::journal::{read_journal, Journal, JournalRecord};
-use lotus_serve::proto::{self, ErrorKind, Request, Response, StatsReply, MAX_BATCH, NO_DEADLINE};
+use lotus_serve::proto::{ErrorKind, Request, Response, StatsReply, MAX_BATCH};
+use lotus_serve::ServeConfig;
 use lotus_telemetry::counters::{self, Counter};
 use lotus_telemetry::sync::{TracedGuard, TracedMutex};
 
@@ -50,6 +56,14 @@ use crate::map::ShardMap;
 /// File name of the coordinator's shard-map journal inside
 /// [`ClusterConfig::data_dir`].
 pub const CLUSTER_JOURNAL: &str = "cluster.journal";
+
+/// Queue slots of the coordinator's worker pool: one connection's full
+/// pipelining window (the engine's default `max_inflight`). A queued
+/// fan-out waits on shards behind the fleet mutex rather than holding a
+/// core, so the daemon's 4 × workers default would refuse a single
+/// pipelining client on a small machine. Every other figure is the
+/// daemon's default.
+const QUEUE_CAPACITY: usize = 64;
 
 /// Coordinator configuration.
 #[derive(Debug, Clone)]
@@ -115,7 +129,6 @@ pub struct ClusterStats {
     fanout_calls: AtomicU64,
     shard_failures: AtomicU64,
     partial_answers: AtomicU64,
-    conns_accepted: AtomicU64,
 }
 
 impl ClusterStats {
@@ -142,15 +155,10 @@ impl ClusterStats {
     pub fn partial_answers(&self) -> u64 {
         self.partial_answers.load(Ordering::Relaxed)
     }
-
-    /// Connections accepted since startup.
-    #[must_use]
-    pub fn conns_accepted(&self) -> u64 {
-        self.conns_accepted.load(Ordering::Relaxed)
-    }
 }
 
-/// Shared coordinator state (map + fleet + journal + counters).
+/// Shared coordinator state (map + fleet + journal + counters + the
+/// serving engine).
 #[derive(Debug)]
 pub struct ClusterState {
     config: ClusterConfig,
@@ -158,7 +166,7 @@ pub struct ClusterState {
     fleet: TracedMutex<Fleet>,
     journal: Option<TracedMutex<Journal>>,
     stats: ClusterStats,
-    shutdown: AtomicBool,
+    engine: Engine,
     started: Instant,
 }
 
@@ -169,15 +177,10 @@ impl ClusterState {
         &self.stats
     }
 
-    /// Whether drain has been requested.
-    #[must_use]
-    pub fn draining(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed)
-    }
-
-    /// Requests shutdown: the accept loop exits on its next poll.
+    /// Requests shutdown: the acceptor parks, and the loops flush every
+    /// accepted request and close.
     pub fn begin_drain(&self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        self.engine.begin_drain();
     }
 
     fn lock_map(&self) -> TracedGuard<'_, ShardMap> {
@@ -227,12 +230,45 @@ impl ClusterState {
         replies
     }
 
-    fn effective_deadline(&self, deadline_ms: u64) -> Deadline {
-        if deadline_ms == NO_DEADLINE {
-            Deadline::after(self.config.default_deadline)
-        } else {
-            Deadline::after(Duration::from_millis(deadline_ms))
-        }
+    /// The request's admission deadline, or the configured fan-out
+    /// default when it carries none.
+    fn effective_deadline(&self, deadline: Option<Deadline>) -> Deadline {
+        deadline.unwrap_or_else(|| Deadline::after(self.config.default_deadline))
+    }
+
+    /// Answers one request and counts it.
+    fn answer(&self, request: &Request, deadline: Option<Deadline>) -> Response {
+        let response = dispatch(self, request, deadline);
+        self.stats.served.fetch_add(1, Ordering::Relaxed);
+        response
+    }
+}
+
+impl Handler for ClusterState {
+    fn engine(&self) -> &Engine {
+        &self.engine
+    }
+
+    /// Requests that touch neither the fleet nor the journal.
+    fn inline(&self, request: &Request) -> Option<Response> {
+        let cheap = matches!(
+            request,
+            Request::Ping
+                | Request::Stats
+                | Request::Drain
+                | Request::KClique { .. }
+                | Request::ShardLoad { .. }
+                | Request::ShardCount { .. }
+                | Request::ShardPerVertex { .. }
+        );
+        cheap.then(|| self.answer(request, None))
+    }
+
+    /// Fan-outs and journaled map changes, panic-isolated so a fault
+    /// still answers its connection.
+    fn pooled(&self, request: &Request, deadline: Option<Deadline>) -> Response {
+        isolate(|| self.answer(request, deadline))
+            .unwrap_or_else(|panic| Response::error(ErrorKind::WorkerPanic, panic.message))
     }
 }
 
@@ -262,8 +298,8 @@ impl CoordinatorHandle {
         self.state.begin_drain();
     }
 
-    /// Blocks until the accept loop exits. Connections already accepted
-    /// finish serving their client and close when the client does.
+    /// Blocks until the coordinator exits: acceptor parked, every
+    /// accepted request answered, connections closed, pool drained.
     pub fn wait(mut self) {
         if let Some(handle) = self.accept.take() {
             let _ = handle.join();
@@ -282,11 +318,13 @@ impl Drop for CoordinatorHandle {
 
 /// Starts a coordinator: recovers the shard map from the journal (if a
 /// data dir is configured), registers the configured shard endpoints,
-/// binds, and spawns the accept loop.
+/// binds, and starts the event loop with the daemon's default sizing
+/// but a 64-slot queue.
 ///
 /// # Errors
 /// [`ClusterError::Journal`] when the journal cannot be read or opened;
-/// [`ClusterError::Io`] when the listener cannot bind.
+/// [`ClusterError::Io`] when the listener cannot bind or the loop's
+/// threads cannot start.
 pub fn spawn(config: ClusterConfig) -> Result<CoordinatorHandle, ClusterError> {
     let mut map = ShardMap::new();
     let mut journal = None;
@@ -328,7 +366,11 @@ pub fn spawn(config: ClusterConfig) -> Result<CoordinatorHandle, ClusterError> {
         fleet: TracedMutex::new("cluster.fleet", fleet),
         journal,
         stats: ClusterStats::default(),
-        shutdown: AtomicBool::new(false),
+        engine: Engine::new(&ServeConfig {
+            queue_capacity: QUEUE_CAPACITY,
+            ..ServeConfig::default()
+        })
+        .map_err(ClusterError::Io)?,
         started: Instant::now(),
     });
     for record in &join_records {
@@ -342,11 +384,7 @@ pub fn spawn(config: ClusterConfig) -> Result<CoordinatorHandle, ClusterError> {
     let addr = listener.local_addr().map_err(ClusterError::Io)?;
     listener.set_nonblocking(true).map_err(ClusterError::Io)?;
 
-    let accept_state = Arc::clone(&state);
-    let accept = std::thread::Builder::new()
-        .name("cluster-accept".to_string())
-        .spawn(move || accept_loop(&listener, &accept_state))
-        .map_err(ClusterError::Io)?;
+    let accept = event_loop::start(listener, Arc::clone(&state)).map_err(ClusterError::Io)?;
 
     Ok(CoordinatorHandle {
         addr,
@@ -355,77 +393,25 @@ pub fn spawn(config: ClusterConfig) -> Result<CoordinatorHandle, ClusterError> {
     })
 }
 
-/// Polls the nonblocking listener (via the shared `accept4` fast path)
-/// until drain, handing each connection to its own handler thread.
-fn accept_loop(listener: &TcpListener, state: &Arc<ClusterState>) {
-    while !state.draining() {
-        match lotus_net::accept_nonblocking(listener) {
-            Ok(Some(stream)) => {
-                state.stats.conns_accepted.fetch_add(1, Ordering::Relaxed);
-                let _ = stream.set_nodelay(true);
-                // The handler reads with blocking frame I/O.
-                if stream.set_nonblocking(false).is_err() {
-                    continue;
-                }
-                let conn_state = Arc::clone(state);
-                // On thread exhaustion the failed spawn drops the
-                // connection rather than wedge the accept loop.
-                let _ = std::thread::Builder::new()
-                    .name("cluster-conn".to_string())
-                    .spawn(move || serve_connection(stream, &conn_state));
-            }
-            Ok(None) => std::thread::sleep(Duration::from_millis(5)),
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-}
-
-/// Serves one client connection: frame in, dispatch, frame out, until
-/// EOF, protocol damage, or `Drain`.
-fn serve_connection(mut stream: TcpStream, state: &Arc<ClusterState>) {
-    loop {
-        let request = match proto::read_frame(&mut stream).and_then(|p| Request::decode(&p)) {
-            Ok(request) => request,
-            Err(proto::ProtoError::Io(_)) => return,
-            Err(e) => {
-                let resp = Response::error(ErrorKind::Protocol, format!("malformed request: {e}"));
-                let _ = proto::write_response(&mut stream, &resp);
-                return;
-            }
-        };
-        let draining = matches!(request, Request::Drain);
-        let response = dispatch(state, &request);
-        state.stats.served.fetch_add(1, Ordering::Relaxed);
-        if proto::write_response(&mut stream, &response).is_err() {
-            return;
-        }
-        let _ = stream.flush();
-        if draining {
-            state.begin_drain();
-            return;
-        }
-    }
-}
-
 /// Routes one request to its cluster semantics.
-fn dispatch(state: &Arc<ClusterState>, request: &Request) -> Response {
+fn dispatch(state: &ClusterState, request: &Request, deadline: Option<Deadline>) -> Response {
     match request {
         Request::Ping => Response::Pong,
         Request::Stats => Response::Stats(coordinator_stats(state)),
-        Request::Count { name, deadline_ms } => run_count(state, name, *deadline_ms),
+        Request::Count { name, .. } => run_count(state, name, deadline),
         Request::PerVertex {
-            name,
-            start,
-            end,
-            deadline_ms,
-        } => run_per_vertex(state, name, *start, *end, *deadline_ms),
+            name, start, end, ..
+        } => run_per_vertex(state, name, *start, *end, deadline),
         Request::KClique { .. } => Response::error(
             ErrorKind::BadRequest,
             "k-clique queries are not supported in cluster mode (DESIGN.md §16)",
         ),
         Request::LoadGraph { name, spec } => run_load(state, name, spec),
         Request::EvictGraph { name } => run_evict(state, name),
-        Request::Drain => Response::Draining,
+        Request::Drain => {
+            state.begin_drain();
+            Response::Draining
+        }
         Request::Batch(items) => run_batch(state, items),
         Request::ShardJoin { addr } => run_join(state, addr),
         Request::ShardStat => run_fleet_stat(state),
@@ -439,11 +425,11 @@ fn dispatch(state: &Arc<ClusterState>, request: &Request) -> Response {
 }
 
 /// `Count`: fan `ShardCount` to the placement's shards and sum.
-fn run_count(state: &Arc<ClusterState>, name: &str, deadline_ms: u64) -> Response {
+fn run_count(state: &ClusterState, name: &str, deadline: Option<Deadline>) -> Response {
     let Some(placement) = state.lock_map().placement(name).cloned() else {
         return placement_not_found(name);
     };
-    let deadline = state.effective_deadline(deadline_ms);
+    let deadline = state.effective_deadline(deadline);
     let started = Instant::now();
     let calls: Vec<ShardCall> = (0..placement.parts as usize)
         .map(|shard| {
@@ -496,16 +482,16 @@ fn run_count(state: &Arc<ClusterState>, name: &str, deadline_ms: u64) -> Respons
 /// resolves the default `(0, 0)` window identically (the shard CSR
 /// keeps full vertex width), so windows always line up.
 fn run_per_vertex(
-    state: &Arc<ClusterState>,
+    state: &ClusterState,
     name: &str,
     start: u32,
     end: u32,
-    deadline_ms: u64,
+    deadline: Option<Deadline>,
 ) -> Response {
     let Some(placement) = state.lock_map().placement(name).cloned() else {
         return placement_not_found(name);
     };
-    let deadline = state.effective_deadline(deadline_ms);
+    let deadline = state.effective_deadline(deadline);
     let calls: Vec<ShardCall> = (0..placement.parts as usize)
         .map(|shard| {
             (
@@ -554,7 +540,7 @@ fn run_per_vertex(
 
 /// `LoadGraph`: place the graph across the whole current fleet. All
 /// shards must load; the placement is journaled before the reply.
-fn run_load(state: &Arc<ClusterState>, name: &str, spec: &str) -> Response {
+fn run_load(state: &ClusterState, name: &str, spec: &str) -> Response {
     let parts = state.lock_map().endpoints().len() as u32;
     if parts == 0 {
         return Response::error(
@@ -623,7 +609,7 @@ fn run_load(state: &Arc<ClusterState>, name: &str, spec: &str) -> Response {
 }
 
 /// `EvictGraph`: drop the placement everywhere it lives, then unrecord.
-fn run_evict(state: &Arc<ClusterState>, name: &str) -> Response {
+fn run_evict(state: &ClusterState, name: &str) -> Response {
     let Some(placement) = state.lock_map().placement(name).cloned() else {
         return Response::Evicted { existed: false };
     };
@@ -655,7 +641,7 @@ fn run_evict(state: &Arc<ClusterState>, name: &str) -> Response {
 
 /// `ShardJoin`: append the endpoint to the fleet (idempotent) and
 /// journal the membership.
-fn run_join(state: &Arc<ClusterState>, addr: &str) -> Response {
+fn run_join(state: &ClusterState, addr: &str) -> Response {
     let joined = state.lock_map().join(addr);
     let shards;
     if let Some((_index, (key, value))) = joined {
@@ -677,7 +663,7 @@ fn run_join(state: &Arc<ClusterState>, addr: &str) -> Response {
 }
 
 /// `ShardStat` on the coordinator: merged occupancy across the fleet.
-fn run_fleet_stat(state: &Arc<ClusterState>) -> Response {
+fn run_fleet_stat(state: &ClusterState) -> Response {
     let parts = state.lock_map().endpoints().len();
     if parts == 0 {
         return Response::ShardStat {
@@ -729,7 +715,7 @@ fn run_fleet_stat(state: &Arc<ClusterState>) -> Response {
 /// `Batch`: sequential evaluation of the non-admin sub-requests the
 /// coordinator supports. Admin and nested batches answer per-item
 /// typed errors, same shape as single-node batching.
-fn run_batch(state: &Arc<ClusterState>, items: &[Request]) -> Response {
+fn run_batch(state: &ClusterState, items: &[Request]) -> Response {
     if items.len() > MAX_BATCH {
         return Response::error(
             ErrorKind::BadRequest,
@@ -743,7 +729,7 @@ fn run_batch(state: &Arc<ClusterState>, items: &[Request]) -> Response {
             | Request::Stats
             | Request::Count { .. }
             | Request::PerVertex { .. }
-            | Request::ShardStat => dispatch(state, item),
+            | Request::ShardStat => dispatch(state, item, request_deadline(item)),
             _ => Response::error(
                 ErrorKind::BadRequest,
                 "only Ping/Stats/Count/PerVertex/ShardStat may be batched on a coordinator",
@@ -753,10 +739,11 @@ fn run_batch(state: &Arc<ClusterState>, items: &[Request]) -> Response {
     Response::Batch(responses)
 }
 
-/// The coordinator's own `Stats` reply: map occupancy plus coordinator
-/// counters. Registry/pool fields stay zero — there is no registry or
-/// worker pool here, and honest zeros beat fabricated numbers.
-fn coordinator_stats(state: &Arc<ClusterState>) -> StatsReply {
+/// The coordinator's own `Stats` reply: map occupancy, coordinator
+/// counters, and the engine's connection, loop and admission figures.
+/// Registry and durability fields stay zero — there is no registry
+/// here, and honest zeros beat fabricated numbers.
+fn coordinator_stats(state: &ClusterState) -> StatsReply {
     let (graphs, shards) = {
         let map = state.lock_map();
         (map.graphs() as u32, map.endpoints().len() as u32)
@@ -764,13 +751,11 @@ fn coordinator_stats(state: &Arc<ClusterState>) -> StatsReply {
     StatsReply {
         graphs,
         requests_served: state.stats.served(),
-        conns_accepted: state.stats.conns_accepted(),
-        // Reuse the worker-count slot for fleet size: the closest
-        // analogue a coordinator has to "how much parallelism behind
-        // this socket".
+        // The worker-count slot carries the fleet size: `loadgen
+        // --cluster` reads it as the shard count (DESIGN.md §16.5).
         workers: shards,
         recovery_ms: state.started.elapsed().as_millis() as u64,
-        ..StatsReply::default()
+        ..state.engine.stats()
     }
 }
 

@@ -2,30 +2,31 @@
 //! connection per shard daemon, pipelined requests, deadline-bounded
 //! collection (DESIGN.md §16).
 //!
-//! A [`Fleet`] holds at most one connection per shard endpoint and
-//! reuses it across broadcasts. [`Fleet::broadcast`] writes every
-//! request up front (pipelining — the LSRV daemon answers frames in
-//! order per connection, so a FIFO of in-flight call indices is enough
-//! to match responses), then drives all connections through one
-//! [`lotus_net::Poller`] until every call resolves or the deadline
-//! expires. A shard that is slow, dead, or desynced resolves its
-//! pending calls to [`FleetError`] — never a hang — and its connection
-//! is reset so the next broadcast starts clean.
+//! A [`Fleet`] holds at most one connection per shard endpoint — a
+//! [`FramedConn`] plus the FIFO of calls awaiting its replies — and
+//! reuses it across broadcasts. Every link is registered with the
+//! fleet's one long-lived [`Poller`] when it is dialed and deregistered
+//! when it fails. [`Fleet::broadcast`] queues every request up front
+//! (pipelining — the LSRV daemon answers frames in order per
+//! connection, so a FIFO of in-flight call indices is enough to match
+//! responses), then drives the links until every call resolves or the
+//! deadline expires. A shard that is slow, dead, or desynced resolves
+//! its pending calls to [`FleetError`] — never a hang — and its
+//! connection is reset so the next broadcast starts clean.
 //!
 //! Connects retry transient failures under the workspace's seeded
 //! backoff policy ([`lotus_resilience::retry`]), bounded by the
 //! broadcast deadline.
 
 use std::collections::VecDeque;
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::os::fd::AsRawFd;
 use std::time::Duration;
 
 use lotus_net::{Events, Interest, Poller, Token};
 use lotus_resilience::retry::{is_transient_io, retry, RetryPolicy};
 use lotus_resilience::Deadline;
-use lotus_serve::proto::{self, FrameProgress, Request, Response};
+use lotus_serve::conn::{Flush, FramedConn, Inbound};
+use lotus_serve::proto::{Request, Response};
 
 /// Why a shard call failed to produce a response.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,17 +50,16 @@ impl std::fmt::Display for FleetError {
 /// One shard call of a broadcast: `(shard index, request)`.
 pub type ShardCall = (usize, Request);
 
-const READ_CHUNK: usize = 64 * 1024;
+/// Per-call outcome slots of one broadcast (`None` = unresolved).
+type Results = [Option<Result<Response, FleetError>>];
+
 /// Poll granularity: short enough that deadline expiry is noticed
 /// promptly even when no readiness arrives, long enough to stay cheap.
 const WAIT_SLICE: Duration = Duration::from_millis(25);
 
 #[derive(Debug)]
 struct Conn {
-    stream: TcpStream,
-    read_buf: Vec<u8>,
-    out: Vec<u8>,
-    out_pos: usize,
+    io: FramedConn,
     /// Broadcast-local call indices awaiting replies, FIFO (the daemon
     /// flushes responses in request order per connection).
     pending: VecDeque<usize>,
@@ -77,6 +77,8 @@ struct Link {
 pub struct Fleet {
     links: Vec<Link>,
     retry: RetryPolicy,
+    /// Every live link is registered here under its shard index.
+    poller: Poller,
 }
 
 impl Fleet {
@@ -93,6 +95,7 @@ impl Fleet {
                 })
                 .collect(),
             retry,
+            poller: Poller::new().unwrap_or_else(|_| Poller::fallback()),
         }
     }
 
@@ -140,37 +143,23 @@ impl Fleet {
                 ))));
                 continue;
             }
-            if self.links[*shard].conn.is_none() {
-                if let Err(detail) = self.dial(*shard, deadline) {
-                    results[call_idx] = Some(Err(FleetError::Unavailable(detail)));
-                    continue;
-                }
+            if let Err(detail) = self.ensure_link(*shard, deadline) {
+                results[call_idx] = Some(Err(FleetError::Unavailable(detail)));
+                continue;
             }
             let Some(conn) = self.links[*shard].conn.as_mut() else {
-                results[call_idx] = Some(Err(FleetError::Unavailable(
-                    "connection lost before send".to_string(),
-                )));
                 continue;
             };
-            let payload = match request.encode() {
-                Ok(payload) => payload,
-                Err(e) => {
-                    results[call_idx] =
-                        Some(Err(FleetError::Unavailable(format!("encode failed: {e}"))));
-                    continue;
-                }
-            };
-            let mut frame = Vec::new();
-            match proto::write_frame(&mut frame, &payload) {
-                Ok(()) => {
-                    conn.out.extend_from_slice(&frame);
-                    conn.pending.push_back(call_idx);
-                }
+            match conn.io.queue_request(request) {
+                Ok(()) => conn.pending.push_back(call_idx),
                 Err(e) => {
                     results[call_idx] =
                         Some(Err(FleetError::Unavailable(format!("encode failed: {e}"))));
                 }
             }
+        }
+        for shard in 0..self.links.len() {
+            self.flush(shard, &mut results);
         }
 
         self.drive(deadline, &mut results);
@@ -182,7 +171,7 @@ impl Fleet {
                 *slot = Some(Err(FleetError::DeadlineExpired));
                 let shard = calls[call_idx].0;
                 if shard < self.links.len() {
-                    self.links[shard].conn = None;
+                    self.drop_link(shard);
                 }
             }
         }
@@ -194,71 +183,51 @@ impl Fleet {
 
     /// Event-drives every link with pending work until all calls
     /// resolve or the deadline passes.
-    fn drive(&mut self, deadline: Deadline, results: &mut [Option<Result<Response, FleetError>>]) {
-        let poller = match Poller::new() {
-            Ok(p) => p,
-            Err(_) => Poller::fallback(),
-        };
-        let mut registered: Vec<usize> = Vec::new();
-        let mut unregisterable: Vec<usize> = Vec::new();
-        for shard in 0..self.links.len() {
-            let Some(conn) = self.links[shard].conn.as_ref() else {
-                continue;
-            };
-            if conn.pending.is_empty() {
-                continue;
-            }
-            let interest = if conn.out_pos < conn.out.len() {
-                Interest::BOTH
-            } else {
-                Interest::READ
-            };
-            if poller
-                .register(conn.stream.as_raw_fd(), Token(shard as u64), interest)
-                .is_ok()
-            {
-                registered.push(shard);
-            } else {
-                unregisterable.push(shard);
-            }
-        }
-        for shard in unregisterable {
-            self.fail_link(shard, "poller registration failed", results);
-        }
-
+    fn drive(&mut self, deadline: Deadline, results: &mut Results) {
         let mut events = Events::with_capacity(64);
         while results.iter().any(Option::is_none) && !deadline.expired() {
             let timeout = deadline.remaining().min(WAIT_SLICE);
-            if poller.wait(&mut events, Some(timeout)).is_err() {
+            if self.poller.wait(&mut events, Some(timeout)).is_err() {
                 break;
             }
-            // Collect tokens first: handling an event may drop a
-            // connection, and `events` borrows nothing from it.
-            let ready: Vec<(usize, bool, bool)> = events
-                .iter()
-                .map(|e| (e.token.0 as usize, e.readable, e.writable))
-                .collect();
-            for (shard, readable, writable) in ready {
+            for event in &events {
+                let shard = event.token.0 as usize;
                 if shard >= self.links.len() || self.links[shard].conn.is_none() {
                     continue;
                 }
-                if writable {
-                    self.flush_out(shard, &poller, results);
+                if event.writable {
+                    self.flush(shard, results);
                 }
-                if readable && self.links[shard].conn.is_some() {
+                if event.readable || event.closed {
                     self.drain_in(shard, results);
                 }
             }
         }
-        for shard in registered {
-            if let Some(conn) = self.links[shard].conn.as_ref() {
-                let _ = poller.deregister(conn.stream.as_raw_fd());
+    }
+
+    /// Makes sure the shard has a live connection: an idle link the
+    /// shard has since closed (its idle timeout, a restart) is noticed
+    /// here and re-dialed, instead of failing the calls queued on it.
+    fn ensure_link(&mut self, shard: usize, deadline: Deadline) -> Result<(), String> {
+        if let Some(conn) = self.links[shard].conn.as_mut() {
+            let idle = conn.pending.is_empty();
+            if !idle
+                || conn.io.fill(usize::MAX).ok()
+                    == Some(Inbound {
+                        bytes: 0,
+                        eof: false,
+                    })
+            {
+                return Ok(());
             }
+            self.drop_link(shard);
         }
+        self.dial(shard, deadline)
     }
 
     /// Connects to a shard, retrying transient failures under the
-    /// seeded policy while the deadline allows.
+    /// seeded policy while the deadline allows, and registers the link
+    /// with the fleet's poller.
     fn dial(&mut self, shard: usize, deadline: Deadline) -> Result<(), String> {
         let addr_str = self.links[shard].addr.clone();
         let sock_addr: SocketAddr = addr_str
@@ -286,121 +255,71 @@ impl Fleet {
         stream
             .set_nonblocking(true)
             .map_err(|e| format!("set_nonblocking `{addr_str}`: {e}"))?;
+        let mut io = FramedConn::new(stream);
+        io.register(&self.poller, Token(shard as u64), Interest::READ)
+            .map_err(|e| format!("registering `{addr_str}` with the poller: {e}"))?;
         self.links[shard].conn = Some(Conn {
-            stream,
-            read_buf: Vec::new(),
-            out: Vec::new(),
-            out_pos: 0,
+            io,
             pending: VecDeque::new(),
         });
         Ok(())
     }
 
-    /// Writes as much queued output as the socket accepts; downgrades
-    /// poller interest to read-only once the buffer drains.
-    fn flush_out(
-        &mut self,
-        shard: usize,
-        poller: &Poller,
-        results: &mut [Option<Result<Response, FleetError>>],
-    ) {
-        loop {
-            let Some(conn) = self.links[shard].conn.as_mut() else {
-                return;
-            };
-            if conn.out_pos >= conn.out.len() {
-                conn.out.clear();
-                conn.out_pos = 0;
-                let _ =
-                    poller.reregister(conn.stream.as_raw_fd(), Token(shard as u64), Interest::READ);
-                return;
-            }
-            match conn.stream.write(&conn.out[conn.out_pos..]) {
-                Ok(0) => {
-                    self.fail_link(shard, "shard closed connection mid-write", results);
-                    return;
-                }
-                Ok(n) => conn.out_pos += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    self.fail_link(shard, &format!("write failed: {e}"), results);
-                    return;
-                }
-            }
+    /// Writes as much queued output as the socket accepts, subscribing
+    /// to writability only while bytes remain.
+    fn flush(&mut self, shard: usize, results: &mut Results) {
+        let Some(conn) = self.links[shard].conn.as_mut() else {
+            return;
+        };
+        let synced = match conn.io.flush() {
+            Flush::Failed => Err("write failed".to_string()),
+            Flush::Done | Flush::Blocked => conn
+                .io
+                .sync_interest(&self.poller, Token(shard as u64), true)
+                .map_err(|e| format!("poller update failed: {e}")),
+        };
+        if let Err(detail) = synced {
+            self.fail_link(shard, &detail, results);
         }
     }
 
     /// Reads available bytes and resolves complete frames against the
     /// connection's FIFO of in-flight calls.
-    fn drain_in(&mut self, shard: usize, results: &mut [Option<Result<Response, FleetError>>]) {
-        let mut chunk = [0u8; READ_CHUNK];
-        loop {
-            let Some(conn) = self.links[shard].conn.as_mut() else {
-                return;
+    fn drain_in(&mut self, shard: usize, results: &mut Results) {
+        let Some(conn) = self.links[shard].conn.as_mut() else {
+            return;
+        };
+        let inbound = match conn.io.fill(usize::MAX) {
+            Ok(inbound) => inbound,
+            Err(e) => return self.fail_link(shard, &format!("read failed: {e}"), results),
+        };
+        while let Some(frame) = conn.io.next_frame() {
+            let payload = match frame {
+                Ok(payload) => payload,
+                Err(e) => return self.fail_link(shard, &format!("framing damage: {e}"), results),
             };
-            match conn.stream.read(&mut chunk) {
-                Ok(0) => {
-                    self.fail_link(shard, "shard closed connection", results);
-                    return;
-                }
-                Ok(n) => {
-                    conn.read_buf.extend_from_slice(&chunk[..n]);
-                    loop {
-                        let Some(conn) = self.links[shard].conn.as_mut() else {
-                            return;
-                        };
-                        match proto::try_parse_frame(&conn.read_buf) {
-                            FrameProgress::Incomplete => break,
-                            FrameProgress::Frame { payload, consumed } => {
-                                conn.read_buf.drain(..consumed);
-                                let Some(call_idx) = conn.pending.pop_front() else {
-                                    self.fail_link(
-                                        shard,
-                                        "shard sent an unsolicited frame",
-                                        results,
-                                    );
-                                    return;
-                                };
-                                match Response::decode(&payload) {
-                                    Ok(response) => {
-                                        results[call_idx] = Some(Ok(response));
-                                    }
-                                    Err(e) => {
-                                        results[call_idx] = Some(Err(FleetError::Unavailable(
-                                            format!("undecodable reply: {e}"),
-                                        )));
-                                        self.fail_link(shard, "reply stream desynced", results);
-                                        return;
-                                    }
-                                }
-                            }
-                            FrameProgress::Damaged(e) => {
-                                self.fail_link(shard, &format!("framing damage: {e}"), results);
-                                return;
-                            }
-                        }
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            let Some(call_idx) = conn.pending.pop_front() else {
+                return self.fail_link(shard, "shard sent an unsolicited frame", results);
+            };
+            match Response::decode(&payload) {
+                Ok(response) => results[call_idx] = Some(Ok(response)),
                 Err(e) => {
-                    self.fail_link(shard, &format!("read failed: {e}"), results);
-                    return;
+                    results[call_idx] = Some(Err(FleetError::Unavailable(format!(
+                        "undecodable reply: {e}"
+                    ))));
+                    return self.fail_link(shard, "reply stream desynced", results);
                 }
             }
+        }
+        if inbound.eof {
+            self.fail_link(shard, "shard closed connection", results);
         }
     }
 
     /// Resolves every pending call on a link to `Unavailable` and drops
     /// its connection (the stream's FIFO can no longer be trusted).
-    fn fail_link(
-        &mut self,
-        shard: usize,
-        detail: &str,
-        results: &mut [Option<Result<Response, FleetError>>],
-    ) {
-        if let Some(conn) = self.links[shard].conn.take() {
+    fn fail_link(&mut self, shard: usize, detail: &str, results: &mut Results) {
+        if let Some(conn) = self.drop_link(shard) {
             for call_idx in conn.pending {
                 if results[call_idx].is_none() {
                     results[call_idx] = Some(Err(FleetError::Unavailable(format!(
@@ -410,6 +329,13 @@ impl Fleet {
                 }
             }
         }
+    }
+
+    /// Deregisters and drops a link's connection, returning it.
+    fn drop_link(&mut self, shard: usize) -> Option<Conn> {
+        let mut conn = self.links[shard].conn.take()?;
+        conn.io.deregister(&self.poller);
+        Some(conn)
     }
 }
 

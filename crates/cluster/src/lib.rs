@@ -18,10 +18,12 @@
 //!   record format (`Register`/`Evict`/`Checkpoint` over last-wins
 //!   `(key, value)` pairs).
 //! * [`fleet`] — the fan-out engine: one multiplexed nonblocking
-//!   connection per shard, pipelined requests, one poller, deadlines.
-//! * [`coordinator`] — the daemon: accept loop, dispatch, merge logic,
-//!   typed `ShardUnavailable` on slow/dead shards, optional degraded
-//!   partial counts.
+//!   connection per shard, pipelined requests, one long-lived poller,
+//!   deadlines.
+//! * [`coordinator`] — the daemon: a request handler on the serve
+//!   daemon's event loop, dispatch, merge logic, typed
+//!   `ShardUnavailable` on slow/dead shards, optional degraded partial
+//!   counts.
 
 pub mod coordinator;
 pub mod fleet;

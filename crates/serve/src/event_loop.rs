@@ -1,5 +1,7 @@
 //! The readiness event loop: per-connection state machines multiplexed
-//! over `lotus_net::Poller` (DESIGN.md §14).
+//! over `lotus_net::Poller` (DESIGN.md §14), shared by every LSRV
+//! frontend — the serve daemon and the cluster coordinator each plug a
+//! [`Handler`] into it.
 //!
 //! One acceptor thread owns the listener and the connection quota; a
 //! small set of event-loop threads each own a poller, a timer wheel,
@@ -19,34 +21,35 @@
 //! responses are flushed strictly in that order, whatever order the
 //! worker pool finishes them in. Backpressure is quota-based, never an
 //! error: once `max_inflight` requests are outstanding (or the write
-//! backlog passes [`WRITE_BACKLOG_CAP`]) the loop simply stops reading
-//! that socket until completions drain it.
+//! backlog passes 8 MiB) the loop stops polling that
+//! socket for readability until completions drain it.
 //!
-//! Error taxonomy (unchanged from the blocking daemon): framing damage
-//! → typed `protocol` error then close (the stream cannot be
-//! resynchronized); a CRC-valid frame that does not decode → typed
-//! `bad_request`, connection stays open; EOF between frames → silent
-//! close. Idle and slow-loris connections are evicted by the
-//! [`TimerWheel`] once they make no read progress for the configured
-//! idle timeout with nothing in flight.
+//! Error taxonomy: framing damage → typed `protocol` error then close
+//! (the stream cannot be resynchronized); a CRC-valid frame that does
+//! not decode → typed `bad_request`, connection stays open; EOF between
+//! frames → silent close. Idle and slow-loris connections are evicted
+//! by the timer wheel once they make no read progress for the
+//! configured idle timeout with nothing in flight.
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lotus_net::{Event, Events, Interest, Poller, Token, Waker};
+use lotus_resilience::{CancelToken, Deadline};
 use lotus_telemetry::{counters, Counter};
 
-use crate::proto::{frame_response, try_parse_frame, ErrorKind, FrameProgress, Request, Response};
-use crate::server::{
-    overloaded_response, request_deadline, run_inline, run_pooled, LoopCounters, ServeConfig,
-    ServerState,
+use crate::conn::{Flush, FramedConn};
+use crate::pool::WorkerPool;
+use crate::proto::{
+    frame_response, ErrorKind, LoopStat, Request, Response, StatsReply, NO_DEADLINE,
 };
+use crate::server::ServeConfig;
 use crate::timer::TimerWheel;
 
 /// Waker token on every poller (acceptor and loops).
@@ -59,6 +62,11 @@ const FIRST_CONN_TOKEN: u64 = 2;
 /// Per-connection cap on buffered response bytes before the loop stops
 /// reading more requests from that socket (slow-reader backpressure).
 const WRITE_BACKLOG_CAP: usize = 8 << 20;
+
+/// Bytes read from one socket per readiness event; the rest waits for
+/// the next (level-triggered) event, so one flooding client cannot
+/// starve its loop neighbours or outrun the inflight quota.
+const READ_BUDGET: usize = 64 * 1024;
 
 /// Timer-wheel slot width; idle timeouts fire at most one slot late.
 const WHEEL_GRANULARITY: Duration = Duration::from_millis(25);
@@ -73,45 +81,175 @@ const MAX_WAIT: Duration = Duration::from_millis(500);
 /// force-closing the stragglers.
 const DRAIN_GRACE: Duration = Duration::from_secs(10);
 
-/// Resolved network configuration (zeros replaced by defaults).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct NetConfig {
-    pub(crate) event_threads: usize,
-    pub(crate) max_conns: usize,
-    pub(crate) max_inflight: usize,
-    pub(crate) idle_timeout: Duration,
+/// What a frontend plugs into the loop: where each request runs.
+pub trait Handler: Send + Sync + 'static {
+    /// The engine (pool, quotas, shutdown) serving this handler.
+    fn engine(&self) -> &Engine;
+
+    /// Answers a request cheap enough to run on a loop thread, or
+    /// `None` to send it through the worker pool.
+    fn inline(&self, request: &Request) -> Option<Response>;
+
+    /// Runs a pool-bound request on a worker thread. Must not unwind: a
+    /// panic would strand the connection's reply slot, so
+    /// implementations isolate their work.
+    fn pooled(&self, request: &Request, deadline: Option<Deadline>) -> Response;
 }
 
-impl NetConfig {
-    /// Applies defaults to the user-facing [`ServeConfig`] fields.
-    pub(crate) fn resolve(config: &ServeConfig) -> NetConfig {
-        let event_threads = if config.event_threads == 0 {
-            std::thread::available_parallelism().map_or(1, |p| (p.get() / 4).clamp(1, 4))
-        } else {
-            config.event_threads
-        };
-        NetConfig {
-            event_threads,
-            max_conns: if config.max_conns == 0 {
-                4096
-            } else {
-                config.max_conns
-            },
-            max_inflight: if config.max_inflight == 0 {
-                64
-            } else {
-                config.max_inflight
-            },
+/// Resolved network configuration (zeros replaced by defaults).
+#[derive(Debug, Clone, Copy)]
+struct NetConfig {
+    event_threads: usize,
+    max_conns: usize,
+    max_inflight: usize,
+    idle_timeout: Duration,
+}
+
+/// The serving plumbing a frontend owns: the bounded worker pool,
+/// connection quotas and counters, and the shutdown token whose
+/// cancellation drains every loop.
+#[derive(Debug)]
+pub struct Engine {
+    pool: WorkerPool,
+    shutdown: CancelToken,
+    config: NetConfig,
+    conns_accepted: AtomicU64,
+    conns_open: AtomicU64,
+    overloaded: AtomicU64,
+    /// Every loop, in loop-index order: woken together with the
+    /// acceptor so a drain interrupts every blocked wait immediately,
+    /// and read by `Stats` so a hot loop is visible, not averaged away.
+    loops: Mutex<Vec<Arc<LoopShared>>>,
+    acceptor: OnceLock<Waker>,
+}
+
+impl Engine {
+    /// Sizes an engine from `config`'s pool and network fields, zeros
+    /// replaced by defaults: workers = `rayon::current_num_threads()`,
+    /// queue = 4 × workers, event threads = cores/4 (1–4), 4096
+    /// connections, 64 in flight per connection, 60 s idle timeout.
+    ///
+    /// # Errors
+    /// Returns the OS error when a worker thread cannot be spawned.
+    pub fn new(config: &ServeConfig) -> std::io::Result<Engine> {
+        let or = |value: usize, default: usize| if value == 0 { default } else { value };
+        let workers = or(config.workers, rayon::current_num_threads());
+        let net = NetConfig {
+            event_threads: or(
+                config.event_threads,
+                std::thread::available_parallelism().map_or(1, |p| (p.get() / 4).clamp(1, 4)),
+            ),
+            max_conns: or(config.max_conns, 4096),
+            max_inflight: or(config.max_inflight, 64),
             idle_timeout: if config.idle_timeout.is_zero() {
                 Duration::from_secs(60)
             } else {
                 config.idle_timeout
             },
+        };
+        Ok(Engine {
+            pool: WorkerPool::new(workers, or(config.queue_capacity, workers * 4))?,
+            shutdown: CancelToken::new(),
+            config: net,
+            conns_accepted: AtomicU64::new(0),
+            conns_open: AtomicU64::new(0),
+            overloaded: AtomicU64::new(0),
+            loops: Mutex::new(Vec::new()),
+            acceptor: OnceLock::new(),
+        })
+    }
+
+    /// Whether a drain has begun.
+    #[must_use]
+    pub(crate) fn is_draining(&self) -> bool {
+        self.shutdown.is_cancelled()
+    }
+
+    /// Starts a graceful drain: cancels the shutdown token and wakes
+    /// every poller so the acceptor parks and the loops begin flushing
+    /// in-flight responses. Idempotent.
+    pub fn begin_drain(&self) {
+        self.shutdown.cancel();
+        if let Some(waker) = self.acceptor.get() {
+            waker.wake();
         }
+        for shared in self.loops() {
+            shared.waker.wake();
+        }
+    }
+
+    /// The engine's share of a `Stats` reply: pool shape and panics,
+    /// admission refusals, connection counters and per-loop activity.
+    /// Frontend fields stay at their defaults for the caller to fill.
+    #[must_use]
+    pub fn stats(&self) -> StatsReply {
+        StatsReply {
+            workers: self.pool.workers() as u32,
+            queue_capacity: self.pool.capacity() as u32,
+            panics: self.pool.panics(),
+            overloaded: self.overloaded.load(Ordering::Relaxed),
+            conns_accepted: self.conns_accepted.load(Ordering::Relaxed),
+            conns_open: self.conns_open.load(Ordering::Relaxed),
+            event_threads: self.config.event_threads as u32,
+            loop_stats: self
+                .loops()
+                .iter()
+                .map(|l| LoopStat {
+                    readiness_events: l.readiness_events.load(Ordering::Relaxed),
+                    loop_wakeups: l.loop_wakeups.load(Ordering::Relaxed),
+                })
+                .collect(),
+            ..StatsReply::default()
+        }
+    }
+
+    /// Records a refused admission (full queue or connection quota) and
+    /// builds the `Overloaded` response.
+    fn refuse(&self) -> Response {
+        self.overloaded.fetch_add(1, Ordering::Relaxed);
+        counters::incr(Counter::RequestsOverloaded);
+        Response::error(ErrorKind::Overloaded, "request queue is full")
+    }
+
+    fn loops(&self) -> Vec<Arc<LoopShared>> {
+        self.loops
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+    }
+
+    fn close_conn(&self) {
+        self.conns_open.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
+/// The deadline a request carries, fixed at admission so queueing time
+/// counts against it; a batch takes its tightest member's.
+#[must_use]
+pub fn request_deadline(request: &Request) -> Option<Deadline> {
+    let ms = match request {
+        Request::Count { deadline_ms, .. }
+        | Request::PerVertex { deadline_ms, .. }
+        | Request::KClique { deadline_ms, .. }
+        | Request::ShardCount { deadline_ms, .. }
+        | Request::ShardPerVertex { deadline_ms, .. } => *deadline_ms,
+        Request::Batch(items) => items
+            .iter()
+            .filter_map(|item| match item {
+                Request::Count { deadline_ms, .. }
+                | Request::PerVertex { deadline_ms, .. }
+                | Request::KClique { deadline_ms, .. } => Some(*deadline_ms),
+                _ => None,
+            })
+            .min()
+            .unwrap_or(NO_DEADLINE),
+        _ => NO_DEADLINE,
+    };
+    (ms != NO_DEADLINE).then(|| Deadline::after(Duration::from_millis(ms)))
+}
+
 /// A finished pool job's response, routed back to the owning loop.
+#[derive(Debug)]
 struct Completion {
     token: u64,
     seq: u64,
@@ -120,14 +258,15 @@ struct Completion {
 
 /// The cross-thread face of one event loop: the acceptor pushes
 /// sockets into `incoming`, pool workers push into `completions`, and
-/// both wake the loop's poller afterwards.
+/// both wake the loop's poller afterwards. The loop's always-on
+/// activity counters are its `LoopStat` row in the stats reply.
+#[derive(Debug)]
 struct LoopShared {
     incoming: Mutex<Vec<TcpStream>>,
     completions: Mutex<Vec<Completion>>,
-    waker: Arc<Waker>,
-    /// This loop's always-on activity counters (readiness events and
-    /// wakeups), published per thread through `Stats`.
-    counters: Arc<LoopCounters>,
+    waker: Waker,
+    readiness_events: AtomicU64,
+    loop_wakeups: AtomicU64,
 }
 
 impl LoopShared {
@@ -140,49 +279,53 @@ impl LoopShared {
     }
 }
 
-/// Spawns the event-loop threads and the acceptor/orchestrator thread;
-/// returns the orchestrator handle (joining it means the daemon's
-/// network side has fully shut down and the pool is drained).
+/// Spawns the event-loop threads and the acceptor/orchestrator thread
+/// serving `handler` on `listener`; returns the orchestrator handle
+/// (joining it means the network side has fully shut down and the pool
+/// is drained).
 ///
 /// # Errors
 /// Returns the OS error when a poller, waker, or thread cannot be
 /// created.
-pub(crate) fn start(
+pub fn start<H: Handler>(
     listener: TcpListener,
-    state: Arc<ServerState>,
-    config: NetConfig,
+    handler: Arc<H>,
 ) -> std::io::Result<JoinHandle<()>> {
-    let mut loops: Vec<Arc<LoopShared>> = Vec::with_capacity(config.event_threads);
-    let mut loop_handles = Vec::with_capacity(config.event_threads);
-    for i in 0..config.event_threads {
+    let engine = handler.engine();
+    let mut loop_handles = Vec::with_capacity(engine.config.event_threads);
+    for i in 0..engine.config.event_threads {
         let poller = Poller::new()?;
-        let waker = Arc::new(poller.waker(Token(WAKER_TOKEN))?);
-        let loop_counters = Arc::new(LoopCounters::default());
         let shared = Arc::new(LoopShared {
             incoming: Mutex::new(Vec::new()),
             completions: Mutex::new(Vec::new()),
-            waker: Arc::clone(&waker),
-            counters: Arc::clone(&loop_counters),
+            waker: poller.waker(Token(WAKER_TOKEN))?,
+            readiness_events: AtomicU64::new(0),
+            loop_wakeups: AtomicU64::new(0),
         });
-        state.net.add_waker(waker);
-        state.net.add_loop_counters(loop_counters);
-        loops.push(Arc::clone(&shared));
-        let loop_state = Arc::clone(&state);
+        engine
+            .loops
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(Arc::clone(&shared));
+        let loop_handler = Arc::clone(&handler);
         let handle = std::thread::Builder::new()
             .name(format!("lotus-serve-loop-{i}"))
-            .spawn(move || event_loop(&poller, &shared, &loop_state, config))?;
+            .spawn(move || event_loop(&poller, &shared, &loop_handler))?;
         loop_handles.push(handle);
     }
 
     let accept_poller = Poller::new()?;
     accept_poller.register(listener.as_raw_fd(), Token(LISTENER_TOKEN), Interest::READ)?;
-    let accept_waker = Arc::new(accept_poller.waker(Token(WAKER_TOKEN))?);
-    state.net.add_waker(accept_waker);
+    let _ = engine
+        .acceptor
+        .set(accept_poller.waker(Token(WAKER_TOKEN))?);
+    let loops = engine.loops();
 
     std::thread::Builder::new()
         .name("lotus-serve-accept".to_string())
         .spawn(move || {
-            accept_loop(&accept_poller, &listener, &loops, &state, config);
+            let engine = handler.engine();
+            accept_loop(&accept_poller, &listener, &loops, engine);
             // Park the acceptor: close the listening socket before the
             // loops drain, so new connects are refused immediately.
             let _ = accept_poller.deregister(listener.as_raw_fd());
@@ -194,7 +337,7 @@ pub(crate) fn start(
                 let _ = handle.join();
             }
             // Loops are gone: no submitter is left, drain the pool.
-            state.pool().shutdown();
+            engine.pool.shutdown();
         })
 }
 
@@ -204,14 +347,13 @@ fn accept_loop(
     poller: &Poller,
     listener: &TcpListener,
     loops: &[Arc<LoopShared>],
-    state: &Arc<ServerState>,
-    config: NetConfig,
+    engine: &Engine,
 ) {
     let mut events = Events::with_capacity(8);
     let mut next_loop = 0usize;
-    while !state.shutdown_token().is_cancelled() {
+    while !engine.is_draining() {
         let _ = poller.wait(&mut events, Some(MAX_WAIT));
-        if state.shutdown_token().is_cancelled() {
+        if engine.is_draining() {
             break;
         }
         loop {
@@ -219,13 +361,13 @@ fn accept_loop(
             // nonblocking, so there is no accept-then-configure window.
             match lotus_net::accept_nonblocking(listener) {
                 Ok(Some(stream)) => {
-                    if state.net.conns_open.load(Ordering::Relaxed) >= config.max_conns as u64 {
-                        refuse_over_quota(stream, state);
+                    if engine.conns_open.load(Ordering::Relaxed) >= engine.config.max_conns as u64 {
+                        refuse_over_quota(&stream, engine);
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
-                    state.net.conns_accepted.fetch_add(1, Ordering::Relaxed);
-                    state.net.conns_open.fetch_add(1, Ordering::Relaxed);
+                    engine.conns_accepted.fetch_add(1, Ordering::Relaxed);
+                    engine.conns_open.fetch_add(1, Ordering::Relaxed);
                     counters::incr(Counter::ConnsAccepted);
                     let shared = &loops[next_loop % loops.len()];
                     next_loop = next_loop.wrapping_add(1);
@@ -249,41 +391,32 @@ fn accept_loop(
 /// Over the connection quota: a best-effort `Overloaded` frame, then
 /// close. Ties the quota into the same accounting admission control
 /// uses, so operators see one signal for both.
-fn refuse_over_quota(stream: TcpStream, state: &Arc<ServerState>) {
-    let response = overloaded_response(state);
+fn refuse_over_quota(mut stream: &TcpStream, engine: &Engine) {
+    let response = engine.refuse();
     if stream.set_nonblocking(true).is_ok() {
-        if let Ok(frame) = frame_response(&response) {
-            let _ = (&stream).write(&frame);
-        }
+        let _ = stream.write(&encode_frame(&response));
     }
 }
 
-/// One connection's state machine.
+/// One connection's state machine: the framed socket plus the
+/// daemon-side pipelining and lifecycle state.
 struct Conn {
-    stream: TcpStream,
-    /// Unparsed received bytes (read-accumulate buffer).
-    read_buf: Vec<u8>,
-    /// Encoded frames ready to write, in flush order.
-    out: Vec<u8>,
-    /// How much of `out` has reached the socket (partial-write resume).
-    out_pos: usize,
+    io: FramedConn,
     /// Completed responses waiting for earlier sequence numbers.
     pending: BTreeMap<u64, Vec<u8>>,
     /// Next sequence number to assign at parse time.
     next_seq: u64,
-    /// Next sequence number to append to `out`.
+    /// Next sequence number to append to the out buffer.
     next_to_flush: u64,
     /// Pool jobs outstanding for this connection.
     inflight: usize,
     /// Timer generation; bumped on every read progress, so stale wheel
     /// entries can never evict a live connection.
     gen: u64,
-    /// Interest currently registered with the poller.
-    interest: Interest,
-    /// No more reads: EOF, framing damage, or drain.
+    /// The peer half-closed: buffered frames are still answered.
+    eof: bool,
+    /// No more parsing: framing damage, a `Drain` reply, or shutdown.
     read_closed: bool,
-    /// Close once everything queued has flushed (damage or `Draining`).
-    close_after_flush: bool,
     /// Transport died; drop without flushing.
     dead: bool,
 }
@@ -291,25 +424,21 @@ struct Conn {
 impl Conn {
     fn new(stream: TcpStream) -> Conn {
         Conn {
-            stream,
-            read_buf: Vec::new(),
-            out: Vec::new(),
-            out_pos: 0,
+            io: FramedConn::new(stream),
             pending: BTreeMap::new(),
             next_seq: 0,
             next_to_flush: 0,
             inflight: 0,
             gen: 0,
-            interest: Interest::READ,
+            eof: false,
             read_closed: false,
-            close_after_flush: false,
             dead: false,
         }
     }
 
     /// Bytes queued toward the socket but not yet written.
     fn backlog(&self) -> usize {
-        (self.out.len() - self.out_pos) + self.pending.values().map(Vec::len).sum::<usize>()
+        self.io.unflushed() + self.pending.values().map(Vec::len).sum::<usize>()
     }
 
     /// Whether the loop should stop pulling bytes off this socket.
@@ -317,18 +446,63 @@ impl Conn {
         self.inflight >= config.max_inflight || self.backlog() > WRITE_BACKLOG_CAP
     }
 
-    /// Nothing left to do: every accepted request answered and flushed.
-    fn finished(&self) -> bool {
-        self.dead
-            || ((self.read_closed || self.close_after_flush)
-                && self.inflight == 0
-                && self.pending.is_empty()
-                && self.out_pos == self.out.len())
+    /// Whether the socket should be read at all right now.
+    fn wants_read(&self, config: &NetConfig) -> bool {
+        !self.read_closed && !self.eof && !self.dead && !self.paused(config)
     }
 
-    /// Truly idle: safe for the timer wheel to evict.
+    /// Nothing owed: no job in flight, every response flushed.
     fn idle(&self) -> bool {
-        self.inflight == 0 && self.pending.is_empty() && self.out_pos == self.out.len()
+        self.inflight == 0 && self.pending.is_empty() && self.io.unflushed() == 0
+    }
+
+    /// Nothing left to do: every accepted request answered and flushed.
+    fn finished(&self) -> bool {
+        self.dead || ((self.read_closed || self.eof) && self.idle())
+    }
+
+    fn flush(&mut self) {
+        if self.dead {
+            return;
+        }
+        match self.io.flush() {
+            Flush::Done => {}
+            Flush::Blocked => counters::incr(Counter::PartialWrites),
+            Flush::Failed => self.dead = true,
+        }
+    }
+
+    /// Re-registers the interest set: readable while reads are wanted,
+    /// writable while bytes are queued.
+    fn refresh(&mut self, poller: &Poller, token: u64, config: &NetConfig) {
+        if self.dead {
+            return;
+        }
+        let readable = self.wants_read(config);
+        if self
+            .io
+            .sync_interest(poller, Token(token), readable)
+            .is_err()
+        {
+            self.dead = true;
+        }
+    }
+
+    /// Inserts a completed response and appends every now-contiguous
+    /// response to the out buffer (in-order pipelining guarantee).
+    fn queue_frame(&mut self, seq: u64, frame: Vec<u8>) {
+        self.pending.insert(seq, frame);
+        while let Some(frame) = self.pending.remove(&self.next_to_flush) {
+            self.io.queue(&frame);
+            self.next_to_flush += 1;
+        }
+    }
+
+    /// Answers the next sequence number directly (no pool round trip).
+    fn answer(&mut self, response: &Response) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.queue_frame(seq, encode_frame(response));
     }
 }
 
@@ -345,14 +519,22 @@ fn encode_frame(response: &Response) -> Vec<u8> {
     })
 }
 
-/// The loop proper: owns its poller, wheel, and connection table.
-#[allow(clippy::too_many_lines)]
-fn event_loop(
-    poller: &Poller,
-    shared: &Arc<LoopShared>,
-    state: &Arc<ServerState>,
+/// The per-loop view the dispatch helpers need.
+struct LoopCtx<'a, H: Handler> {
+    shared: &'a Arc<LoopShared>,
+    handler: &'a Arc<H>,
     config: NetConfig,
-) {
+}
+
+/// The loop proper: owns its poller, wheel, and connection table.
+fn event_loop<H: Handler>(poller: &Poller, shared: &Arc<LoopShared>, handler: &Arc<H>) {
+    let engine = handler.engine();
+    let ctx = LoopCtx {
+        shared,
+        handler,
+        config: engine.config,
+    };
+    let config = &ctx.config;
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut wheel = TimerWheel::new(WHEEL_GRANULARITY, WHEEL_SLOTS, Instant::now());
     let mut events = Events::with_capacity(256);
@@ -367,9 +549,8 @@ fn event_loop(
         let _ = poller.wait(&mut events, Some(timeout));
         counters::incr(Counter::LoopWakeups);
         counters::add(Counter::ReadinessEvents, events.len() as u64);
-        shared.counters.loop_wakeups.fetch_add(1, Ordering::Relaxed);
+        shared.loop_wakeups.fetch_add(1, Ordering::Relaxed);
         shared
-            .counters
             .readiness_events
             .fetch_add(events.len() as u64, Ordering::Relaxed);
         let now = Instant::now();
@@ -389,12 +570,12 @@ fn event_loop(
                 continue;
             };
             if writable || closed {
-                flush_out(conn);
+                conn.flush();
             }
             if readable || closed {
-                pump_reads(conn, token, shared, state, &config, &mut wheel, now);
+                pump_reads(conn, token, &ctx, &mut wheel, now);
             }
-            refresh(poller, token, conn);
+            conn.refresh(poller, token, config);
         }
 
         // 2. Adopt connections handed over by the acceptor.
@@ -408,19 +589,20 @@ fn event_loop(
             let token = next_token;
             next_token += 1;
             let mut conn = Conn::new(stream);
-            if poller
-                .register(conn.stream.as_raw_fd(), Token(token), conn.interest)
+            if conn
+                .io
+                .register(poller, Token(token), Interest::READ)
                 .is_err()
             {
-                state.net.conns_open.fetch_sub(1, Ordering::Relaxed);
+                engine.close_conn();
                 continue;
             }
             wheel.arm(now, config.idle_timeout, token, conn.gen);
             // Bytes may have arrived before registration; with a
             // level-triggered poller a missed edge costs nothing, but
             // serving them now saves one wait.
-            pump_reads(&mut conn, token, shared, state, &config, &mut wheel, now);
-            refresh(poller, token, &mut conn);
+            pump_reads(&mut conn, token, &ctx, &mut wheel, now);
+            conn.refresh(poller, token, config);
             conns.insert(token, conn);
         }
 
@@ -436,12 +618,12 @@ fn event_loop(
                 continue; // connection died before its response finished
             };
             conn.inflight -= 1;
-            queue_frame(conn, completion.seq, completion.frame);
+            conn.queue_frame(completion.seq, completion.frame);
             // The inflight quota may have paused parsing mid-buffer;
             // resume from the already-buffered bytes.
-            process_frames(conn, completion.token, shared, state, &config);
-            flush_out(conn);
-            refresh(poller, completion.token, conn);
+            process_frames(conn, completion.token, &ctx);
+            conn.flush();
+            conn.refresh(poller, completion.token, config);
         }
 
         // 4. Timer wheel: evict idle / slow-loris connections.
@@ -456,7 +638,7 @@ fn event_loop(
             if conn.idle() && !conn.read_closed {
                 // No read progress for a full idle timeout and nothing
                 // owed: evict silently (slow-loris sockets land here
-                // with a half-received frame in read_buf).
+                // with a half-received frame buffered).
                 conn.dead = true;
             } else {
                 // Still working (long count, slow flush): re-arm.
@@ -466,7 +648,7 @@ fn event_loop(
         }
 
         // 5. Drain transition: stop reading everywhere, flush, close.
-        if state.shutdown_token().is_cancelled() {
+        if engine.is_draining() {
             if draining_since.is_none() {
                 draining_since = Some(now);
                 for conn in conns.values_mut() {
@@ -481,12 +663,11 @@ fn event_loop(
         }
 
         // 6. Close finished connections.
-        conns.retain(|token, conn| {
+        conns.retain(|_, conn| {
             if conn.finished() {
-                let _ = poller.deregister(conn.stream.as_raw_fd());
-                let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-                let _ = token;
-                state.net.conns_open.fetch_sub(1, Ordering::Relaxed);
+                conn.io.deregister(poller);
+                let _ = conn.io.stream().shutdown(std::net::Shutdown::Both);
+                engine.close_conn();
                 false
             } else {
                 true
@@ -506,149 +687,84 @@ fn event_loop(
     }
 }
 
-/// Re-registers the connection's interest set when it changed:
-/// readable while not paused/closed, writable while bytes are queued.
-fn refresh(poller: &Poller, token: u64, conn: &mut Conn) {
-    if conn.dead {
-        return;
-    }
-    let want = Interest {
-        readable: !conn.read_closed,
-        writable: conn.out_pos < conn.out.len(),
-    };
-    if want != conn.interest {
-        if poller
-            .reregister(conn.stream.as_raw_fd(), Token(token), want)
-            .is_err()
-        {
-            conn.dead = true;
-            return;
-        }
-        conn.interest = want;
-    }
-}
-
-/// Drains the socket into `read_buf` until `WouldBlock`, EOF, or a
-/// quota pause, parsing frames as they complete.
-fn pump_reads(
+/// Reads up to [`READ_BUDGET`] bytes off the socket, parses the frames
+/// that completed, and flushes whatever got answered inline.
+fn pump_reads<H: Handler>(
     conn: &mut Conn,
     token: u64,
-    shared: &Arc<LoopShared>,
-    state: &Arc<ServerState>,
-    config: &NetConfig,
+    ctx: &LoopCtx<'_, H>,
     wheel: &mut TimerWheel,
     now: Instant,
 ) {
-    let mut chunk = [0u8; 16 * 1024];
-    while !conn.read_closed && !conn.dead && !conn.paused(config) {
-        match (&conn.stream).read(&mut chunk) {
-            Ok(0) => {
-                // EOF: between frames this is a clean close; mid-frame
-                // the truncated remainder in read_buf is unanswerable
-                // and simply dropped. In-flight responses still flush
-                // (half-close support).
-                conn.read_closed = true;
+    if conn.wants_read(&ctx.config) {
+        match conn.io.fill(READ_BUDGET) {
+            Ok(inbound) => {
+                if inbound.bytes > 0 {
+                    // Read progress: re-arm the idle timer.
+                    conn.gen += 1;
+                    wheel.arm(now, ctx.config.idle_timeout, token, conn.gen);
+                }
+                // EOF: buffered frames are still answered; a truncated
+                // remainder is unanswerable and simply dropped, and
+                // in-flight responses still flush (half-close support).
+                conn.eof |= inbound.eof;
+                process_frames(conn, token, ctx);
             }
-            Ok(n) => {
-                conn.read_buf.extend_from_slice(&chunk[..n]);
-                // Read progress: re-arm the idle timer.
-                conn.gen += 1;
-                wheel.arm(now, config.idle_timeout, token, conn.gen);
-                process_frames(conn, token, shared, state, config);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => conn.dead = true,
         }
     }
-    flush_out(conn);
+    conn.flush();
 }
 
-/// Parses every complete frame out of `read_buf` (respecting the
-/// inflight quota) and dispatches each request.
-fn process_frames(
-    conn: &mut Conn,
-    token: u64,
-    shared: &Arc<LoopShared>,
-    state: &Arc<ServerState>,
-    config: &NetConfig,
-) {
-    while !conn.read_closed && !conn.dead && conn.inflight < config.max_inflight {
-        match try_parse_frame(&conn.read_buf) {
-            FrameProgress::Incomplete => break,
-            FrameProgress::Damaged(e) => {
+/// Parses every complete buffered frame (respecting the inflight
+/// quota) and dispatches each request.
+fn process_frames<H: Handler>(conn: &mut Conn, token: u64, ctx: &LoopCtx<'_, H>) {
+    while !conn.read_closed && !conn.dead && conn.inflight < ctx.config.max_inflight {
+        match conn.io.next_frame() {
+            None => break,
+            Some(Err(e)) => {
                 // The stream cannot be resynchronized: answer with a
                 // typed protocol error, then close after flushing.
-                let seq = conn.next_seq;
-                conn.next_seq += 1;
-                queue_frame(
-                    conn,
-                    seq,
-                    encode_frame(&Response::error(ErrorKind::Protocol, e.to_string())),
-                );
-                conn.read_buf.clear();
+                conn.answer(&Response::error(ErrorKind::Protocol, e.to_string()));
                 conn.read_closed = true;
-                conn.close_after_flush = true;
             }
-            FrameProgress::Frame { payload, consumed } => {
-                conn.read_buf.drain(..consumed);
-                let seq = conn.next_seq;
-                conn.next_seq += 1;
-                match Request::decode(&payload) {
-                    Err(e) => {
-                        // CRC-valid but undecodable: the stream is still
-                        // synchronized — answer and keep the connection.
-                        queue_frame(
-                            conn,
-                            seq,
-                            encode_frame(&Response::error(ErrorKind::BadRequest, e.to_string())),
-                        );
-                    }
-                    Ok(request) => dispatch(conn, token, seq, request, shared, state),
-                }
-            }
+            Some(Ok(payload)) => match Request::decode(&payload) {
+                // CRC-valid but undecodable: the stream is still
+                // synchronized — answer and keep the connection.
+                Err(e) => conn.answer(&Response::error(ErrorKind::BadRequest, e.to_string())),
+                Ok(request) => dispatch(conn, token, request, ctx),
+            },
         }
     }
 }
 
-/// Routes one decoded request: fast admin inline on the loop thread,
-/// everything else through the bounded pool.
-fn dispatch(
-    conn: &mut Conn,
-    token: u64,
-    seq: u64,
-    request: Request,
-    shared: &Arc<LoopShared>,
-    state: &Arc<ServerState>,
-) {
-    if let Some(response) = run_inline(&request, state) {
-        let draining = matches!(response, Response::Draining);
-        queue_frame(conn, seq, encode_frame(&response));
-        if draining {
-            // The drain reply is this connection's last frame; frames
-            // already parsed behind it still get ShuttingDown below.
+/// Routes one decoded request: the handler's inline answers on the
+/// loop thread, everything else through the bounded pool.
+fn dispatch<H: Handler>(conn: &mut Conn, token: u64, request: Request, ctx: &LoopCtx<'_, H>) {
+    let engine = ctx.handler.engine();
+    if let Some(response) = ctx.handler.inline(&request) {
+        conn.answer(&response);
+        if matches!(response, Response::Draining) {
+            // The drain reply is this connection's last frame.
             conn.read_closed = true;
-            conn.close_after_flush = true;
         }
         return;
     }
-    if state.shutdown_token().is_cancelled() {
-        queue_frame(
-            conn,
-            seq,
-            encode_frame(&Response::error(
-                ErrorKind::ShuttingDown,
-                "daemon is draining",
-            )),
-        );
+    if engine.is_draining() {
+        conn.answer(&Response::error(
+            ErrorKind::ShuttingDown,
+            "daemon is draining",
+        ));
         return;
     }
+    let seq = conn.next_seq;
+    conn.next_seq += 1;
     // Deadline fixed at admission: queueing time counts against it.
     let deadline = request_deadline(&request);
-    let job_state = Arc::clone(state);
-    let job_shared = Arc::clone(shared);
-    let submitted = state.pool().try_submit(Box::new(move || {
-        let response = run_pooled(&request, deadline, &job_state);
+    let job_handler = Arc::clone(ctx.handler);
+    let job_shared = Arc::clone(ctx.shared);
+    let submitted = engine.pool.try_submit(Box::new(move || {
+        let response = job_handler.pooled(&request, deadline);
         job_shared.push_completion(Completion {
             token,
             seq,
@@ -658,44 +774,6 @@ fn dispatch(
     if submitted {
         conn.inflight += 1;
     } else {
-        queue_frame(conn, seq, encode_frame(&overloaded_response(state)));
+        conn.queue_frame(seq, encode_frame(&engine.refuse()));
     }
-}
-
-/// Inserts a completed response and appends every now-contiguous
-/// response to the write buffer (in-order pipelining guarantee).
-fn queue_frame(conn: &mut Conn, seq: u64, frame: Vec<u8>) {
-    conn.pending.insert(seq, frame);
-    while let Some(frame) = conn.pending.remove(&conn.next_to_flush) {
-        conn.out.extend_from_slice(&frame);
-        conn.next_to_flush += 1;
-    }
-}
-
-/// Writes as much of `out` as the socket accepts; a short write leaves
-/// `out_pos` mid-buffer and the poller's writable event resumes it.
-fn flush_out(conn: &mut Conn) {
-    if conn.dead {
-        return;
-    }
-    while conn.out_pos < conn.out.len() {
-        match (&conn.stream).write(&conn.out[conn.out_pos..]) {
-            Ok(0) => {
-                conn.dead = true;
-                return;
-            }
-            Ok(n) => conn.out_pos += n,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                counters::incr(Counter::PartialWrites);
-                return;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                conn.dead = true;
-                return;
-            }
-        }
-    }
-    conn.out.clear();
-    conn.out_pos = 0;
 }

@@ -6,24 +6,35 @@
 //! - [`proto`] — the length-prefixed binary wire protocol (magic +
 //!   version + CRC32 trailer, untrusted-length hardening shared with
 //!   `lotus_graph::io`).
+//! - [`conn`] — the framed nonblocking connection (read-accumulate,
+//!   frame parse, partial-write resume, poller interest) every LSRV
+//!   socket runs on: the daemon's, loadgen's, and the coordinator's
+//!   shard links.
+//! - [`event_loop`] — the readiness engine: acceptor, event loops,
+//!   bounded worker pool and quotas, generic over a request
+//!   [`event_loop::Handler`]; the daemon and the cluster coordinator
+//!   each implement one.
 //! - [`registry`] — the preprocessed-graph registry: load/build once,
 //!   serve many times, LRU-evicted against a
 //!   `lotus_resilience::MemoryBudget`.
 //! - [`pool`] — the bounded worker pool behind admission control.
-//! - [`server`] — the daemon itself: accept loop, connection threads,
-//!   request dispatch, per-request deadlines, panic isolation.
+//! - [`server`] — the daemon itself: startup, durability, request
+//!   dispatch, per-request deadlines, panic isolation.
 //! - [`client`] — a minimal blocking client.
-//! - [`loadgen`] — the load-generator harness measuring request
+//! - [`loadgen`] — the multiplexed load generator measuring request
 //!   latency percentiles for the BENCH `serve` section.
 //!
-//! The daemon speaks nine request types — `Ping`, `Stats`, `Count`,
-//! `PerVertex`, `KClique`, `Batch`, and the admin `LoadGraph` /
-//! `EvictGraph` / `Drain` — and always answers with a structured
-//! [`proto::Response`], including typed errors for overload, expired
-//! deadlines, and isolated worker panics. See DESIGN.md §11.
+//! The daemon speaks fourteen request types — `Ping`, `Stats`, `Count`,
+//! `PerVertex`, `KClique`, `Batch`, the admin `LoadGraph` /
+//! `EvictGraph` / `Drain`, and the cluster tier's `ShardLoad` /
+//! `ShardCount` / `ShardPerVertex` / `ShardJoin` / `ShardStat` — and
+//! always answers with a structured [`proto::Response`], including
+//! typed errors for overload, expired deadlines, and isolated worker
+//! panics. See DESIGN.md §11 and §14.
 
 pub mod client;
-pub(crate) mod event_loop;
+pub mod conn;
+pub mod event_loop;
 pub mod journal;
 pub mod loadgen;
 pub(crate) mod mux;

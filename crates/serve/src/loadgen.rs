@@ -4,17 +4,15 @@
 //! `lotus loadgen` drives this against a running daemon and renders the
 //! report as the BENCH-schema `serve` section (EXPERIMENTS.md). The mix
 //! is deterministic per `(seed, connection index)`, so two runs against
-//! equivalent daemons issue identical request streams.
-
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+//! equivalent daemons issue identical request streams. Every connection
+//! runs on the multiplexed driver in `mux`.
 
 use lotus_resilience::RetryPolicy;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use crate::client::Client;
-use crate::proto::{ErrorKind, Request, Response, NO_DEADLINE};
+use crate::proto::{Request, Response, NO_DEADLINE};
 
 /// Registry key loadgen stores its target graph under.
 pub const LOADGEN_GRAPH: &str = "loadgen";
@@ -39,13 +37,9 @@ pub struct LoadgenConfig {
     /// failures. Every retried attempt's latency is still recorded and
     /// retries are counted separately, so percentiles stay honest.
     pub retry: RetryPolicy,
-    /// In-flight requests per connection (pipelining depth). `1`
-    /// reproduces the legacy request/response lockstep.
+    /// In-flight requests per connection (pipelining depth). `1` is
+    /// request/response lockstep.
     pub pipeline: usize,
-    /// Use the legacy thread-per-connection driver instead of the
-    /// multiplexed event-loop client (escape hatch; caps out around a
-    /// few hundred connections).
-    pub legacy_threads: bool,
     /// The target is a cluster coordinator: swap the k-clique slice of
     /// the mix for queries the coordinator can fan out (cluster mode
     /// rejects `KClique`, see DESIGN.md §16).
@@ -66,7 +60,6 @@ impl LoadgenConfig {
             deadline_ms: NO_DEADLINE,
             retry: RetryPolicy::serve_default(42),
             pipeline: 1,
-            legacy_threads: false,
             cluster: false,
         }
     }
@@ -98,8 +91,7 @@ pub struct LoadgenReport {
     /// Peak concurrently open connections during the run.
     pub open_conns: u64,
     /// Best completion rate sustained over any 1 s sliding window
-    /// (equals the overall rate for sub-second runs; `0.0` when the
-    /// legacy driver, which does not timestamp completions, ran).
+    /// (equals the overall rate for sub-second runs).
     pub max_sustained_rps: f64,
 }
 
@@ -155,135 +147,12 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
         other => return Err(format!("unexpected reply to LoadGraph: {other:?}")),
     };
 
-    if !config.legacy_threads {
-        return crate::mux::run(config, vertices);
-    }
-
-    let config = Arc::new(config.clone());
-    let start = Instant::now();
-    let mut threads = Vec::new();
-    for conn in 0..config.connections {
-        let config = Arc::clone(&config);
-        threads.push(std::thread::spawn(move || {
-            drive_connection(&config, conn as u64, vertices)
-        }));
-    }
-    let mut report = LoadgenReport {
-        connections: config.connections,
-        // Every legacy connection is open for the whole run.
-        open_conns: config.connections as u64,
-        ..LoadgenReport::default()
-    };
-    let mut connect_failures = Vec::new();
-    for thread in threads {
-        match thread.join() {
-            Ok(Ok(partial)) => {
-                report.sent += partial.sent;
-                report.ok += partial.ok;
-                report.overloaded += partial.overloaded;
-                report.deadline_expired += partial.deadline_expired;
-                report.errors += partial.errors;
-                report.retries += partial.retries;
-                report.latencies_us.extend(partial.latencies_us);
-            }
-            Ok(Err(msg)) => connect_failures.push(msg),
-            Err(_) => connect_failures.push("loadgen thread panicked".to_string()),
-        }
-    }
-    report.wall_ms = start.elapsed().as_millis() as u64;
-    if !connect_failures.is_empty() && report.sent == 0 {
-        return Err(connect_failures.remove(0));
-    }
-    report.errors += connect_failures.len() as u64;
-    report.latencies_us.sort_unstable();
-    Ok(report)
-}
-
-fn drive_connection(
-    config: &LoadgenConfig,
-    index: u64,
-    vertices: u32,
-) -> Result<LoadgenReport, String> {
-    // Each connection derives its own jitter seed so backoff delays
-    // stay deterministic per (seed, connection) yet decorrelated.
-    let retry = RetryPolicy {
-        seed: config.retry.seed.wrapping_add(index),
-        ..config.retry
-    };
-    let (mut client, connect_retries) = Client::connect_with_retry(config.addr.as_str(), &retry)
-        .map_err(|e| format!("connection {index}: {e}"))?;
-    client
-        .set_timeout(Some(Duration::from_secs(60)))
-        .map_err(|e| format!("connection {index}: {e}"))?;
-    let mut rng = SmallRng::seed_from_u64(
-        config
-            .seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(index),
-    );
-    let mut report = LoadgenReport {
-        retries: u64::from(connect_retries),
-        ..LoadgenReport::default()
-    };
-    for _ in 0..config.requests {
-        let request = pick_request(&mut rng, config, vertices);
-        // Overload backoff loop: every attempt's latency is measured
-        // (so p99 reflects what a caller actually waited through), each
-        // retry is counted separately, and the request's final outcome
-        // is classified exactly once below.
-        let mut attempt = 0u32;
-        let response = loop {
-            attempt += 1;
-            let sent_at = Instant::now();
-            match client.call(&request) {
-                Ok(response) => {
-                    report
-                        .latencies_us
-                        .push(sent_at.elapsed().as_micros() as u64);
-                    let overloaded = matches!(
-                        response,
-                        Response::Error {
-                            kind: ErrorKind::Overloaded,
-                            ..
-                        }
-                    );
-                    if overloaded && retry.should_retry(attempt) {
-                        report.retries += 1;
-                        std::thread::sleep(retry.delay_for(attempt));
-                        continue;
-                    }
-                    break response;
-                }
-                Err(e) => {
-                    // Transport damage mid-run: count it and stop this
-                    // connection; the others keep measuring.
-                    report.errors += 1;
-                    report.sent += 1;
-                    return if report.sent > 1 {
-                        Ok(report)
-                    } else {
-                        Err(format!("connection {index}: {e}"))
-                    };
-                }
-            }
-        };
-        report.sent += 1;
-        match response {
-            Response::Error { kind, .. } => match kind {
-                ErrorKind::Overloaded => report.overloaded += 1,
-                ErrorKind::DeadlineExpired => report.deadline_expired += 1,
-                _ => report.errors += 1,
-            },
-            _ => report.ok += 1,
-        }
-    }
-    Ok(report)
+    crate::mux::run(config, vertices)
 }
 
 /// The seeded request mix: mostly counts, a slice of per-vertex and
 /// clique queries, a sprinkle of pings and stats, and the occasional
-/// two-element batch. Shared with the multiplexed driver so both issue
-/// identical streams.
+/// two-element batch.
 pub(crate) fn pick_request(rng: &mut SmallRng, config: &LoadgenConfig, vertices: u32) -> Request {
     let name = LOADGEN_GRAPH.to_string();
     let roll = rng.gen_range(0..100u32);
@@ -344,6 +213,7 @@ pub(crate) fn pick_request(rng: &mut SmallRng, config: &LoadgenConfig, vertices:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
 
     #[test]
     fn percentiles_of_sorted_latencies() {

@@ -1,36 +1,31 @@
 //! The multiplexed load-generator driver: thousands of client
-//! connections on one thread, over the same `lotus_net` readiness shim
-//! the daemon uses.
+//! connections on one thread, each a [`FramedConn`] over the same
+//! `lotus_net` readiness shim the daemon uses.
 //!
-//! The legacy driver spawned one OS thread per connection, which capped
-//! `loadgen` at a few hundred connections — useless for proving the
-//! event-loop daemon scales. Here every connection is a small state
-//! machine (seeded request mix → pipelined in-flight window → in-order
-//! response matching → backoff-scheduled retries) multiplexed over one
-//! [`Poller`], so a single loadgen process drives ≥1024 connections
-//! with request pipelining.
+//! Every connection is a small state machine (seeded request mix →
+//! pipelined in-flight window → in-order response matching →
+//! backoff-scheduled retries) multiplexed over one [`Poller`], so a
+//! single loadgen process drives ≥1024 connections with request
+//! pipelining.
 //!
-//! Fidelity to the legacy driver is deliberate: the per-connection
-//! request stream is bit-for-bit identical (same `(seed, index)` RNG
-//! derivation, same `pick_request` call order — the mix is picked
-//! lazily per connection, so interleaving cannot perturb it), and
-//! retry accounting follows the same rules: every attempt's latency is
-//! recorded, retried attempts are counted in `retries` but not `sent`,
-//! and each logical request is classified exactly once.
+//! The per-connection request stream is deterministic: each connection
+//! derives its RNG from `(seed, index)` and picks its mix lazily, so
+//! interleaving cannot perturb it. Retry accounting: every attempt's
+//! latency is recorded, retried attempts are counted in `retries` but
+//! not `sent`, and each logical request is classified exactly once.
 
 use std::collections::VecDeque;
-use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
 use lotus_net::{Events, Interest, Poller, Token};
-use lotus_resilience::RetryPolicy;
+use lotus_resilience::retry::{is_transient_io, retry, RetryPolicy};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+use crate::conn::{Flush, FramedConn};
 use crate::loadgen::{pick_request, LoadgenConfig, LoadgenReport};
-use crate::proto::{try_parse_frame, write_request, ErrorKind, FrameProgress, Response};
+use crate::proto::{ErrorKind, Response};
 
 /// A connection with requests outstanding but no response bytes for
 /// this long fails the run — a hung daemon must not hang CI.
@@ -56,12 +51,9 @@ struct ParkedRetry {
 
 /// One multiplexed client connection.
 struct MuxConn {
-    stream: TcpStream,
+    io: FramedConn,
     rng: SmallRng,
     retry: RetryPolicy,
-    read_buf: Vec<u8>,
-    out: Vec<u8>,
-    out_pos: usize,
     /// Attempts on the wire, in send order. The daemon answers frames
     /// in order, so the front entry always owns the next response.
     outstanding: VecDeque<Flight>,
@@ -74,8 +66,6 @@ struct MuxConn {
     /// otherwise a retry storm would exceed the pipeline depth).
     parked: usize,
     last_rx: Instant,
-    interest: Interest,
-    registered: bool,
     dead: bool,
 }
 
@@ -118,8 +108,8 @@ pub(crate) fn run(config: &LoadgenConfig, vertices: u32) -> Result<LoadgenReport
         match connect_with_retry(&config.addr, &retry, &mut report.retries) {
             Ok(stream) => {
                 let token = conns.len() as u64;
-                let conn = MuxConn {
-                    stream,
+                let mut conn = MuxConn {
+                    io: FramedConn::new(stream),
                     rng: SmallRng::seed_from_u64(
                         config
                             .seed
@@ -127,20 +117,15 @@ pub(crate) fn run(config: &LoadgenConfig, vertices: u32) -> Result<LoadgenReport
                             .wrapping_add(index as u64),
                     ),
                     retry,
-                    read_buf: Vec::new(),
-                    out: Vec::new(),
-                    out_pos: 0,
                     outstanding: VecDeque::new(),
                     issued: 0,
                     completed: 0,
                     parked: 0,
                     last_rx: Instant::now(),
-                    interest: Interest::READ,
-                    registered: true,
                     dead: false,
                 };
-                poller
-                    .register(conn.stream.as_raw_fd(), Token(token), conn.interest)
+                conn.io
+                    .register(&poller, Token(token), Interest::READ)
                     .map_err(|e| format!("registering connection {index}: {e}"))?;
                 conns.push(conn);
             }
@@ -181,7 +166,7 @@ pub(crate) fn run(config: &LoadgenConfig, vertices: u32) -> Result<LoadgenReport
                     },
                 );
             }
-            flush_out(conn);
+            flush(conn);
             refresh(&poller, i, conn);
         }
 
@@ -208,7 +193,7 @@ pub(crate) fn run(config: &LoadgenConfig, vertices: u32) -> Result<LoadgenReport
                 continue;
             }
             if event.writable {
-                flush_out(conn);
+                flush(conn);
             }
             if event.readable || event.closed {
                 pump_responses(
@@ -240,7 +225,7 @@ pub(crate) fn run(config: &LoadgenConfig, vertices: u32) -> Result<LoadgenReport
                             ..entry.flight
                         },
                     );
-                    flush_out(conn);
+                    flush(conn);
                     refresh(&poller, entry.conn, conn);
                 }
             } else {
@@ -272,40 +257,28 @@ pub(crate) fn run(config: &LoadgenConfig, vertices: u32) -> Result<LoadgenReport
     Ok(report)
 }
 
-/// Blocking connect honouring the retry schedule, mirroring
-/// `Client::connect_with_retry` (each retried connect counts into the
-/// report like the legacy driver's `connect_retries`).
+/// Blocking connect under the retry schedule, like
+/// `Client::connect_with_retry`; each retried connect counts into the
+/// report's `retries`.
 fn connect_with_retry(
     addr: &str,
-    retry: &RetryPolicy,
+    policy: &RetryPolicy,
     retries: &mut u64,
 ) -> Result<TcpStream, String> {
-    let mut attempt = 0u32;
-    loop {
-        attempt += 1;
-        match TcpStream::connect(addr) {
-            Ok(stream) => {
-                let _ = stream.set_nodelay(true);
-                stream
-                    .set_nonblocking(true)
-                    .map_err(|e| format!("set_nonblocking: {e}"))?;
-                return Ok(stream);
-            }
-            Err(e) => {
-                if !retry.should_retry(attempt) {
-                    return Err(format!("connecting to {addr}: {e}"));
-                }
-                *retries += 1;
-                std::thread::sleep(retry.delay_for(attempt));
-            }
-        }
-    }
+    let (connected, spent) = retry(policy, is_transient_io, || TcpStream::connect(addr));
+    *retries += u64::from(spent);
+    let stream = connected.map_err(|e| format!("connecting to {addr}: {e}"))?;
+    let _ = stream.set_nodelay(true);
+    stream
+        .set_nonblocking(true)
+        .map_err(|e| format!("set_nonblocking: {e}"))?;
+    Ok(stream)
 }
 
 /// Encodes one attempt onto the connection's write buffer and tracks
 /// it at the back of the outstanding window.
 fn send_attempt(conn: &mut MuxConn, flight: Flight) {
-    if write_request(&mut conn.out, &flight.request).is_err() {
+    if conn.io.queue_request(&flight.request).is_err() {
         // Unreachable for the generated mix; dropping the attempt is
         // safer than desynchronizing the response window.
         return;
@@ -324,88 +297,69 @@ fn pump_responses(
     start: Instant,
     completions_us: &mut Vec<u64>,
 ) {
-    let mut chunk = [0u8; 16 * 1024];
-    loop {
-        match (&conn.stream).read(&mut chunk) {
-            Ok(0) => {
-                // EOF: only an error if the daemon still owed answers.
-                if !conn.outstanding.is_empty() || conn.completed < config.requests {
-                    fail_connection(conn, report);
-                } else {
-                    conn.dead = true;
-                }
-                break;
+    let Ok(inbound) = conn.io.fill(usize::MAX) else {
+        fail_connection(conn, report);
+        return;
+    };
+    if inbound.bytes > 0 {
+        conn.last_rx = Instant::now();
+    }
+    while let Some(frame) = conn.io.next_frame() {
+        // Framing damage or an undecodable reply: the stream is lost.
+        let Some(response) = frame.ok().and_then(|p| Response::decode(&p).ok()) else {
+            fail_connection(conn, report);
+            return;
+        };
+        let Some(flight) = conn.outstanding.pop_front() else {
+            // A response nobody asked for: protocol violation.
+            fail_connection(conn, report);
+            return;
+        };
+        report
+            .latencies_us
+            .push(flight.sent_at.elapsed().as_micros() as u64);
+        let overloaded = matches!(
+            &response,
+            Response::Error {
+                kind: ErrorKind::Overloaded,
+                ..
             }
-            Ok(n) => {
-                conn.last_rx = Instant::now();
-                conn.read_buf.extend_from_slice(&chunk[..n]);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                fail_connection(conn, report);
-                return;
-            }
+        );
+        let attempt = flight.attempt + 1;
+        if overloaded && conn.retry.should_retry(attempt) {
+            report.retries += 1;
+            conn.parked += 1;
+            parked.push(ParkedRetry {
+                due: Instant::now() + conn.retry.delay_for(attempt),
+                conn: conn_idx,
+                flight: Flight { attempt, ..flight },
+            });
+            continue;
+        }
+        conn.completed += 1;
+        report.sent += 1;
+        completions_us.push(start.elapsed().as_micros() as u64);
+        match response {
+            Response::Error { kind, .. } => match kind {
+                ErrorKind::Overloaded => report.overloaded += 1,
+                ErrorKind::DeadlineExpired => report.deadline_expired += 1,
+                _ => report.errors += 1,
+            },
+            _ => report.ok += 1,
         }
     }
-    loop {
-        match try_parse_frame(&conn.read_buf) {
-            FrameProgress::Incomplete => break,
-            FrameProgress::Damaged(_) => {
-                fail_connection(conn, report);
-                return;
-            }
-            FrameProgress::Frame { payload, consumed } => {
-                conn.read_buf.drain(..consumed);
-                let Ok(response) = Response::decode(&payload) else {
-                    fail_connection(conn, report);
-                    return;
-                };
-                let Some(flight) = conn.outstanding.pop_front() else {
-                    // A response nobody asked for: protocol violation.
-                    fail_connection(conn, report);
-                    return;
-                };
-                report
-                    .latencies_us
-                    .push(flight.sent_at.elapsed().as_micros() as u64);
-                let overloaded = matches!(
-                    &response,
-                    Response::Error {
-                        kind: ErrorKind::Overloaded,
-                        ..
-                    }
-                );
-                let attempt = flight.attempt + 1;
-                if overloaded && conn.retry.should_retry(attempt) {
-                    report.retries += 1;
-                    conn.parked += 1;
-                    parked.push(ParkedRetry {
-                        due: Instant::now() + conn.retry.delay_for(attempt),
-                        conn: conn_idx,
-                        flight: Flight { attempt, ..flight },
-                    });
-                    continue;
-                }
-                conn.completed += 1;
-                report.sent += 1;
-                completions_us.push(start.elapsed().as_micros() as u64);
-                match response {
-                    Response::Error { kind, .. } => match kind {
-                        ErrorKind::Overloaded => report.overloaded += 1,
-                        ErrorKind::DeadlineExpired => report.deadline_expired += 1,
-                        _ => report.errors += 1,
-                    },
-                    _ => report.ok += 1,
-                }
-            }
+    if inbound.eof {
+        // EOF: only an error if the daemon still owed answers.
+        if !conn.outstanding.is_empty() || conn.completed < config.requests {
+            fail_connection(conn, report);
+        } else {
+            conn.dead = true;
         }
     }
 }
 
-/// Transport or protocol damage mid-run: mirror the legacy accounting
-/// (one error, one sent) and stop driving this connection; the others
-/// keep measuring.
+/// Transport or protocol damage mid-run: one error, one sent, and stop
+/// driving this connection; the others keep measuring.
 fn fail_connection(conn: &mut MuxConn, report: &mut LoadgenReport) {
     report.errors += 1;
     report.sent += 1;
@@ -414,52 +368,23 @@ fn fail_connection(conn: &mut MuxConn, report: &mut LoadgenReport) {
 }
 
 /// Writes as much buffered request data as the socket accepts.
-fn flush_out(conn: &mut MuxConn) {
-    if conn.dead {
-        return;
+fn flush(conn: &mut MuxConn) {
+    if !conn.dead && conn.io.flush() == Flush::Failed {
+        conn.dead = true;
     }
-    while conn.out_pos < conn.out.len() {
-        match (&conn.stream).write(&conn.out[conn.out_pos..]) {
-            Ok(0) => {
-                conn.dead = true;
-                return;
-            }
-            Ok(n) => conn.out_pos += n,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                conn.dead = true;
-                return;
-            }
-        }
-    }
-    conn.out.clear();
-    conn.out_pos = 0;
 }
 
 /// Keeps write interest registered only while bytes are queued, and
 /// drops dead connections out of the poller.
 fn refresh(poller: &Poller, idx: usize, conn: &mut MuxConn) {
     if conn.dead {
-        if conn.registered {
-            let _ = poller.deregister(conn.stream.as_raw_fd());
-            conn.registered = false;
-        }
-        return;
-    }
-    let want = Interest {
-        readable: true,
-        writable: conn.out_pos < conn.out.len(),
-    };
-    if want != conn.interest {
-        if poller
-            .reregister(conn.stream.as_raw_fd(), Token(idx as u64), want)
-            .is_err()
-        {
-            conn.dead = true;
-            return;
-        }
-        conn.interest = want;
+        conn.io.deregister(poller);
+    } else if conn
+        .io
+        .sync_interest(poller, Token(idx as u64), true)
+        .is_err()
+    {
+        conn.dead = true;
     }
 }
 

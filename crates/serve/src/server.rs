@@ -1,20 +1,18 @@
-//! The TCP daemon: acceptor, event loops, request dispatch.
+//! The serve daemon: startup, durability, and the request [`Handler`]
+//! it plugs into the shared event loop.
 //!
 //! Architecture (DESIGN.md §11 / §14):
 //!
-//! - One acceptor thread multiplexes the listener through a
-//!   `lotus_net::Poller`, enforces the connection quota, and hands
-//!   admitted sockets round-robin to the event loops.
-//! - A small set of event-loop threads (`--event-threads`) own the
-//!   per-connection state machines: nonblocking read-accumulate →
-//!   incremental frame parse → dispatch → in-order write-drain with
-//!   partial-write resume. See `event_loop`.
-//! - Fast admin requests (`Ping`, `Stats`, `EvictGraph`, `Drain`) run
-//!   inline on the loop; everything else (`Count`, `PerVertex`,
-//!   `KClique`, `Batch`, and `LoadGraph`, whose preprocessing can take
-//!   seconds) passes through the bounded [`WorkerPool`]: a full queue
-//!   yields an explicit `Overloaded` response (admission control),
-//!   never a hang.
+//! - The [`event_loop`] owns the sockets: one acceptor thread enforces
+//!   the connection quota and hands sockets round-robin to a small set
+//!   of loop threads (`--event-threads`), each running nonblocking
+//!   per-connection state machines with in-order pipelining.
+//! - Fast admin requests (`Ping`, `Stats`, `EvictGraph`, `Drain`,
+//!   `ShardStat`) run inline on the loop; everything else (`Count`,
+//!   `PerVertex`, `KClique`, `Batch`, and `LoadGraph`, whose
+//!   preprocessing can take seconds) passes through the engine's
+//!   bounded worker pool: a full queue yields an explicit `Overloaded`
+//!   response (admission control), never a hang.
 //! - Every work request carries a [`Deadline`] fixed at admission; jobs
 //!   re-check it at dequeue and counting kernels poll it via their
 //!   [`RunGuard`], so a `0 ms` deadline reliably returns
@@ -23,7 +21,7 @@
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -32,15 +30,11 @@ use lotus_core::{
     kclique::count_kcliques, per_vertex::count_per_vertex, CountError, LotusConfig, LotusCounter,
 };
 use lotus_graph::UndirectedCsr;
-use lotus_resilience::{isolate, CancelToken, Deadline, MemoryBudget, RunGuard, StopReason};
+use lotus_resilience::{isolate, Deadline, MemoryBudget, RunGuard, StopReason};
 use lotus_telemetry::{counters, Counter, Span, SpanId};
 
-use crate::event_loop::{self, NetConfig};
-use crate::pool::WorkerPool;
-use crate::proto::LoopStat;
-use crate::proto::{
-    ErrorKind, Request, Response, StatsReply, MAX_CLIQUE_K, MAX_PER_VERTEX_SPAN, NO_DEADLINE,
-};
+use crate::event_loop::{self, request_deadline, Engine, Handler};
+use crate::proto::{ErrorKind, Request, Response, StatsReply, MAX_CLIQUE_K, MAX_PER_VERTEX_SPAN};
 use crate::recovery::RecoveryReport;
 use crate::registry::{PreparedGraph, Registry, RegistryError};
 use crate::shards::{self, ShardStore};
@@ -116,7 +110,6 @@ impl Default for ServeConfig {
 #[derive(Debug, Default)]
 pub struct ServeStats {
     served: AtomicU64,
-    overloaded: AtomicU64,
     deadline_expired: AtomicU64,
     panics: AtomicU64,
 }
@@ -126,12 +119,6 @@ impl ServeStats {
     #[must_use]
     pub fn served(&self) -> u64 {
         self.served.load(Ordering::Relaxed)
-    }
-
-    /// Requests refused by admission control.
-    #[must_use]
-    pub fn overloaded(&self) -> u64 {
-        self.overloaded.load(Ordering::Relaxed)
     }
 
     /// Requests that expired their deadline.
@@ -151,11 +138,6 @@ impl ServeStats {
         counters::incr(Counter::RequestsServed);
     }
 
-    fn record_overloaded(&self) {
-        self.overloaded.fetch_add(1, Ordering::Relaxed);
-        counters::incr(Counter::RequestsOverloaded);
-    }
-
     fn record_deadline_expired(&self) {
         self.deadline_expired.fetch_add(1, Ordering::Relaxed);
         counters::incr(Counter::RequestsDeadlineExpired);
@@ -167,78 +149,14 @@ impl ServeStats {
     }
 }
 
-/// Always-on connection-level counters plus the drain fan-out: one
-/// waker per poller (acceptor + each event loop), woken together so a
-/// drain interrupts every blocked wait immediately.
-#[derive(Debug, Default)]
-pub(crate) struct NetRuntime {
-    pub(crate) conns_accepted: AtomicU64,
-    pub(crate) conns_open: AtomicU64,
-    pub(crate) event_threads: AtomicU64,
-    pub(crate) wakers: Mutex<Vec<Arc<lotus_net::Waker>>>,
-    /// One row per event-loop thread, installed at loop startup; read
-    /// by `Stats` so a hot loop is visible, not averaged away.
-    pub(crate) loop_counters: Mutex<Vec<Arc<LoopCounters>>>,
-}
-
-/// A single event loop's always-on activity counters (the source of
-/// [`LoopStat`] rows in the stats reply).
-#[derive(Debug, Default)]
-pub(crate) struct LoopCounters {
-    pub(crate) readiness_events: AtomicU64,
-    pub(crate) loop_wakeups: AtomicU64,
-}
-
-impl NetRuntime {
-    pub(crate) fn add_waker(&self, waker: Arc<lotus_net::Waker>) {
-        self.wakers
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(waker);
-    }
-
-    /// Registers an event loop's counter row, in loop-index order.
-    pub(crate) fn add_loop_counters(&self, counters: Arc<LoopCounters>) {
-        self.loop_counters
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(counters);
-    }
-
-    fn loop_stats(&self) -> Vec<LoopStat> {
-        self.loop_counters
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|c| LoopStat {
-                readiness_events: c.readiness_events.load(Ordering::Relaxed),
-                loop_wakeups: c.loop_wakeups.load(Ordering::Relaxed),
-            })
-            .collect()
-    }
-
-    fn wake_all(&self) {
-        for waker in self
-            .wakers
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-        {
-            waker.wake();
-        }
-    }
-}
-
 /// Shared daemon state: registry, pool, stats, durability, shutdown.
 pub struct ServerState {
     registry: Registry,
-    pool: WorkerPool,
+    engine: Engine,
     stats: ServeStats,
-    shutdown: CancelToken,
     store: Option<Arc<DurableStore>>,
     recovery: Option<RecoveryReport>,
     shards: ShardStore,
-    pub(crate) net: NetRuntime,
 }
 
 impl ServerState {
@@ -272,26 +190,6 @@ impl ServerState {
         self.recovery.as_ref()
     }
 
-    /// The shutdown token (cancelled once a drain begins).
-    #[must_use]
-    pub(crate) fn shutdown_token(&self) -> &CancelToken {
-        &self.shutdown
-    }
-
-    /// The bounded worker pool.
-    #[must_use]
-    pub(crate) fn pool(&self) -> &WorkerPool {
-        &self.pool
-    }
-
-    /// Starts a graceful drain: cancels the shutdown token and wakes
-    /// every poller so the acceptor parks and the loops begin flushing
-    /// in-flight responses. Idempotent.
-    pub(crate) fn begin_drain(&self) {
-        self.shutdown.cancel();
-        self.net.wake_all();
-    }
-
     /// Assembles the wire-level stats reply.
     #[must_use]
     pub fn stats_reply(&self) -> StatsReply {
@@ -299,27 +197,22 @@ impl ServerState {
             self.store
                 .as_ref()
                 .map_or((0, 0, 0, 0, 0), |s| s.stat_values());
+        let engine = self.engine.stats();
         StatsReply {
             graphs: self.registry.len() as u32,
             resident_bytes: self.registry.resident_bytes(),
             budget_bytes: self.registry.budget_bytes(),
             requests_served: self.stats.served(),
-            overloaded: self.stats.overloaded(),
             deadline_expired: self.stats.deadline_expired(),
             cache_hits: self.registry.hits(),
             cache_misses: self.registry.misses(),
-            panics: self.stats.panics() + self.pool.panics(),
-            workers: self.pool.workers() as u32,
-            queue_capacity: self.pool.capacity() as u32,
+            panics: self.stats.panics() + engine.panics,
             snapshot_writes,
             journal_appends,
             journal_replays,
             recovery_quarantined,
             recovery_ms,
-            conns_accepted: self.net.conns_accepted.load(Ordering::Relaxed),
-            conns_open: self.net.conns_open.load(Ordering::Relaxed),
-            event_threads: self.net.event_threads.load(Ordering::Relaxed) as u32,
-            loop_stats: self.net.loop_stats(),
+            ..engine
         }
     }
 }
@@ -328,7 +221,7 @@ impl std::fmt::Debug for ServerState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerState")
             .field("registry", &self.registry)
-            .field("pool", &self.pool)
+            .field("engine", &self.engine)
             .finish()
     }
 }
@@ -359,7 +252,7 @@ impl ServerHandle {
     /// Requests shutdown (same path as a `Drain` request). Returns
     /// immediately; use [`ServerHandle::wait`] to join.
     pub fn shutdown(&self) {
-        self.state.begin_drain();
+        self.state.engine.begin_drain();
     }
 
     /// Blocks until the daemon exits (accept loop joined, connections
@@ -376,7 +269,7 @@ impl ServerHandle {
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.state.begin_drain();
+        self.state.engine.begin_drain();
         if let Some(handle) = self.accept.take() {
             let _ = handle.join();
         }
@@ -428,17 +321,6 @@ impl std::error::Error for ServeError {}
 /// [`ServeError::Durability`] when the data dir cannot be opened, and
 /// [`ServeError::Preload`] when a preload graph fails to load.
 pub fn spawn(config: ServeConfig) -> Result<ServerHandle, ServeError> {
-    let workers = if config.workers == 0 {
-        rayon::current_num_threads()
-    } else {
-        config.workers
-    };
-    let queue_capacity = if config.queue_capacity == 0 {
-        workers * 4
-    } else {
-        config.queue_capacity
-    };
-
     // Durability first: recovery must finish before anything is served
     // so the registry starts from exactly the last durably acknowledged
     // state (damaged files quarantined, never fatal).
@@ -455,13 +337,11 @@ pub fn spawn(config: ServeConfig) -> Result<ServerHandle, ServeError> {
 
     let state = Arc::new(ServerState {
         registry: Registry::new(config.budget),
-        pool: WorkerPool::new(workers, queue_capacity).map_err(ServeError::Workers)?,
+        engine: Engine::new(&config).map_err(ServeError::Workers)?,
         stats: ServeStats::default(),
-        shutdown: CancelToken::new(),
         store,
         recovery,
         shards: ShardStore::new(),
-        net: NetRuntime::default(),
     });
     if let Some(store) = &state.store {
         // LRU evictions happen inside Registry::load, invisible to
@@ -503,13 +383,7 @@ pub fn spawn(config: ServeConfig) -> Result<ServerHandle, ServeError> {
     let addr = listener.local_addr().map_err(ServeError::Bind)?;
     listener.set_nonblocking(true).map_err(ServeError::Bind)?;
 
-    let net_config = NetConfig::resolve(&config);
-    state
-        .net
-        .event_threads
-        .store(net_config.event_threads as u64, Ordering::Relaxed);
-    let accept =
-        event_loop::start(listener, Arc::clone(&state), net_config).map_err(ServeError::Bind)?;
+    let accept = event_loop::start(listener, Arc::clone(&state)).map_err(ServeError::Bind)?;
 
     let mut checkpoint = None;
     if state.store.is_some() {
@@ -548,9 +422,9 @@ pub fn prepare_from_edges(name: &str, edges: &lotus_graph::EdgeList) -> Prepared
 /// Periodically compacts the journal and GCs orphan snapshots; always
 /// runs one final checkpoint at shutdown so a clean exit leaves a
 /// single-record journal behind.
-fn checkpoint_loop(state: &Arc<ServerState>, interval: Option<Duration>) {
+fn checkpoint_loop(state: &ServerState, interval: Option<Duration>) {
     let mut last = Instant::now();
-    while !state.shutdown.is_cancelled() {
+    while !state.engine.is_draining() {
         std::thread::sleep(POLL_INTERVAL);
         if let Some(every) = interval {
             if last.elapsed() >= every {
@@ -566,98 +440,94 @@ fn checkpoint_loop(state: &Arc<ServerState>, interval: Option<Duration>) {
     }
 }
 
-/// Handles a request cheap enough to run inline on an event-loop
-/// thread: `Ping`, `Stats`, `EvictGraph`, `Drain`. Returns `None` for
-/// everything that must go through the worker pool (`LoadGraph`'s
-/// preprocessing can take seconds, so it is pool-bound too — unlike the
-/// old thread-per-connection daemon, a stalled loop thread would stall
-/// every connection it owns).
-pub(crate) fn run_inline(request: &Request, state: &Arc<ServerState>) -> Option<Response> {
-    match request {
-        Request::Ping => Some(Response::Pong),
-        Request::Stats => Some(Response::Stats(state.stats_reply())),
-        Request::EvictGraph { name } => {
-            // A coordinator fans EvictGraph to its shards, so the shard
-            // store must honor it too — either resident copy counts.
-            let shard_existed = state.shards.evict(name);
-            let existed = state.registry.evict(name) || shard_existed;
-            if let Some(store) = state.store() {
-                if let Err(e) = store.record_evict(name) {
-                    return Some(Response::error(
-                        ErrorKind::DurabilityFailed,
-                        format!("`{name}` evicted but the journal append failed: {e}"),
-                    ));
+impl Handler for ServerState {
+    fn engine(&self) -> &Engine {
+        &self.engine
+    }
+
+    /// Handles a request cheap enough to run inline on an event-loop
+    /// thread: `Ping`, `Stats`, `EvictGraph`, `Drain`, `ShardStat`.
+    /// Returns `None` for everything that must go through the worker
+    /// pool (`LoadGraph`'s preprocessing can take seconds, so it is
+    /// pool-bound too — a stalled loop thread would stall every
+    /// connection it owns).
+    fn inline(&self, request: &Request) -> Option<Response> {
+        match request {
+            Request::Ping => Some(Response::Pong),
+            Request::Stats => Some(Response::Stats(self.stats_reply())),
+            Request::EvictGraph { name } => {
+                // A coordinator fans EvictGraph to its shards, so the
+                // shard store must honor it too — either copy counts.
+                let shard_existed = self.shards.evict(name);
+                let existed = self.registry.evict(name) || shard_existed;
+                if let Some(store) = self.store() {
+                    if let Err(e) = store.record_evict(name) {
+                        return Some(Response::error(
+                            ErrorKind::DurabilityFailed,
+                            format!("`{name}` evicted but the journal append failed: {e}"),
+                        ));
+                    }
                 }
+                Some(Response::Evicted { existed })
             }
-            Some(Response::Evicted { existed })
+            Request::Drain => {
+                self.engine.begin_drain();
+                Some(Response::Draining)
+            }
+            Request::ShardStat => {
+                let (graphs, owned_vertices, entries, ghost_entries) = self.shards.stat();
+                Some(Response::ShardStat {
+                    graphs,
+                    owned_vertices,
+                    entries,
+                    ghost_entries,
+                })
+            }
+            Request::ShardJoin { .. } => Some(Response::error(
+                ErrorKind::BadRequest,
+                "ShardJoin is a coordinator request; this is a shard/serve daemon",
+            )),
+            _ => None,
         }
-        Request::Drain => {
-            state.begin_drain();
-            Some(Response::Draining)
+    }
+
+    /// Runs a pool-bound request on a worker thread: panic-isolated,
+    /// span-wrapped, outcome-counted. The deadline was fixed at
+    /// admission, so queueing time counts against it — a `0 ms`
+    /// deadline expires before the job even dequeues.
+    fn pooled(&self, request: &Request, deadline: Option<Deadline>) -> Response {
+        let _span = Span::enter(SpanId::ServeRequest);
+        if let Request::LoadGraph { name, spec } = request {
+            // Registry loads run their own isolation inside the kernels;
+            // counting stats are not bumped for admin requests.
+            return run_load_graph(name, spec, self);
         }
-        Request::ShardStat => {
-            let (graphs, owned_vertices, entries, ghost_entries) = state.shards.stat();
-            Some(Response::ShardStat {
-                graphs,
-                owned_vertices,
-                entries,
-                ghost_entries,
-            })
+        if let Request::ShardLoad {
+            name,
+            spec,
+            parts,
+            index,
+        } = request
+        {
+            // Placement, like LoadGraph, is admin work: the transient
+            // full build can take seconds, so it is pool-bound but not
+            // counted against the serving stats.
+            return isolate(|| shards::run_shard_load(self.shards(), name, spec, *parts, *index))
+                .unwrap_or_else(|panic| {
+                    self.stats.record_panic();
+                    Response::error(ErrorKind::WorkerPanic, panic.message)
+                });
         }
-        Request::ShardJoin { .. } => Some(Response::error(
-            ErrorKind::BadRequest,
-            "ShardJoin is a coordinator request; this is a shard/serve daemon",
-        )),
-        _ => None,
+        let response = isolate(|| execute_work(request, deadline, self)).unwrap_or_else(|panic| {
+            self.stats.record_panic();
+            Response::error(ErrorKind::WorkerPanic, panic.message)
+        });
+        record_outcome(&response, self);
+        response
     }
 }
 
-/// Runs a pool-bound request on a worker thread: panic-isolated, span-
-/// wrapped, outcome-counted. The deadline was fixed at admission, so
-/// queueing time counts against it — a `0 ms` deadline expires before
-/// the job even dequeues.
-pub(crate) fn run_pooled(
-    request: &Request,
-    deadline: Option<Deadline>,
-    state: &Arc<ServerState>,
-) -> Response {
-    let _span = Span::enter(SpanId::ServeRequest);
-    if let Request::LoadGraph { name, spec } = request {
-        // Registry loads run their own isolation inside the kernels;
-        // counting stats are not bumped for admin requests.
-        return run_load_graph(name, spec, state);
-    }
-    if let Request::ShardLoad {
-        name,
-        spec,
-        parts,
-        index,
-    } = request
-    {
-        // Placement, like LoadGraph, is admin work: the transient full
-        // build can take seconds, so it is pool-bound but not counted
-        // against the serving stats.
-        return isolate(|| shards::run_shard_load(state.shards(), name, spec, *parts, *index))
-            .unwrap_or_else(|panic| {
-                state.stats.record_panic();
-                Response::error(ErrorKind::WorkerPanic, panic.message)
-            });
-    }
-    let response = isolate(|| execute_work(request, deadline, state)).unwrap_or_else(|panic| {
-        state.stats.record_panic();
-        Response::error(ErrorKind::WorkerPanic, panic.message)
-    });
-    record_outcome(&response, state);
-    response
-}
-
-/// Records a refused admission and builds the `Overloaded` response.
-pub(crate) fn overloaded_response(state: &Arc<ServerState>) -> Response {
-    state.stats.record_overloaded();
-    Response::error(ErrorKind::Overloaded, "request queue is full")
-}
-
-fn run_load_graph(name: &str, spec: &str, state: &Arc<ServerState>) -> Response {
+fn run_load_graph(name: &str, spec: &str, state: &ServerState) -> Response {
     match state.registry.load(name, spec) {
         Ok((prepared, evicted)) => {
             // Persist only after the load succeeded; a durability
@@ -684,7 +554,7 @@ fn run_load_graph(name: &str, spec: &str, state: &Arc<ServerState>) -> Response 
 
 /// Bumps the served / deadline-expired stats for a completed work
 /// response (batches count once, by their worst member).
-fn record_outcome(response: &Response, state: &Arc<ServerState>) {
+fn record_outcome(response: &Response, state: &ServerState) {
     let kind = match response {
         Response::Batch(items) => items.iter().find_map(|r| match r {
             Response::Error { kind, .. } => Some(*kind),
@@ -700,34 +570,8 @@ fn record_outcome(response: &Response, state: &Arc<ServerState>) {
     }
 }
 
-pub(crate) fn request_deadline(request: &Request) -> Option<Deadline> {
-    let ms = match request {
-        Request::Count { deadline_ms, .. }
-        | Request::PerVertex { deadline_ms, .. }
-        | Request::KClique { deadline_ms, .. }
-        | Request::ShardCount { deadline_ms, .. }
-        | Request::ShardPerVertex { deadline_ms, .. } => *deadline_ms,
-        Request::Batch(items) => items
-            .iter()
-            .filter_map(|item| match item {
-                Request::Count { deadline_ms, .. }
-                | Request::PerVertex { deadline_ms, .. }
-                | Request::KClique { deadline_ms, .. } => Some(*deadline_ms),
-                _ => None,
-            })
-            .min()
-            .unwrap_or(NO_DEADLINE),
-        _ => NO_DEADLINE,
-    };
-    (ms != NO_DEADLINE).then(|| Deadline::after(Duration::from_millis(ms)))
-}
-
 /// Executes a work request on a worker thread.
-fn execute_work(
-    request: &Request,
-    deadline: Option<Deadline>,
-    state: &Arc<ServerState>,
-) -> Response {
+fn execute_work(request: &Request, deadline: Option<Deadline>, state: &ServerState) -> Response {
     if deadline.is_some_and(|d| d.expired()) {
         return Response::error(
             ErrorKind::DeadlineExpired,
@@ -764,7 +608,7 @@ fn execute_work(
     }
 }
 
-fn run_count(name: &str, deadline: Option<Deadline>, state: &Arc<ServerState>) -> Response {
+fn run_count(name: &str, deadline: Option<Deadline>, state: &ServerState) -> Response {
     let (prepared, cached) = match state.registry.get_or_load(name) {
         Ok(found) => found,
         Err(e) => return registry_error_response(&e),
@@ -802,7 +646,7 @@ fn run_per_vertex(
     start: u32,
     end: u32,
     deadline: Option<Deadline>,
-    state: &Arc<ServerState>,
+    state: &ServerState,
 ) -> Response {
     let (prepared, _cached) = match state.registry.get_or_load(name) {
         Ok(found) => found,
@@ -843,12 +687,7 @@ fn run_per_vertex(
     }
 }
 
-fn run_kclique(
-    name: &str,
-    k: u32,
-    deadline: Option<Deadline>,
-    state: &Arc<ServerState>,
-) -> Response {
+fn run_kclique(name: &str, k: u32, deadline: Option<Deadline>, state: &ServerState) -> Response {
     if k == 0 || k > MAX_CLIQUE_K {
         return Response::error(
             ErrorKind::BadRequest,
