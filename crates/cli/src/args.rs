@@ -3,6 +3,8 @@
 use std::fmt;
 
 use lotus_resilience::MemoryBudget;
+use lotus_serve::proto::NO_DEADLINE;
+use lotus_serve::Request;
 
 /// Usage text shown by `lotus help`.
 pub const USAGE: &str = "\
@@ -195,64 +197,14 @@ pub struct ServeRecoverArgs {
     pub json: Option<String>,
 }
 
-/// Arguments of `lotus query`: target address plus one action.
+/// Arguments of `lotus query`: target address plus the one request it
+/// sends, with `--deadline-ms` and `--range` already applied.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryArgs {
     /// Daemon address (`host:port`).
     pub addr: String,
     /// What to ask the daemon.
-    pub action: QueryAction,
-    /// Optional cooperative deadline in milliseconds.
-    pub deadline_ms: Option<u64>,
-}
-
-/// The single request a `lotus query` invocation issues.
-#[derive(Debug, Clone, PartialEq)]
-pub enum QueryAction {
-    /// Liveness probe.
-    Ping,
-    /// Daemon statistics.
-    Stats,
-    /// Graceful shutdown.
-    Drain,
-    /// Total triangle count of a registered graph.
-    Count {
-        /// Registered name or graph spec.
-        name: String,
-    },
-    /// Per-vertex triangle counts over a vertex range.
-    PerVertex {
-        /// Registered name or graph spec.
-        name: String,
-        /// Half-open vertex range (`--range A..B`); `None` = default span.
-        range: Option<(u32, u32)>,
-    },
-    /// k-clique count of a registered graph.
-    KClique {
-        /// Registered name or graph spec.
-        name: String,
-        /// Clique size.
-        k: u32,
-    },
-    /// Admin: build and register a graph.
-    Load {
-        /// Registry name.
-        name: String,
-        /// Graph spec (`path:...`, `rmat:...`, `er:...`).
-        spec: String,
-    },
-    /// Admin: drop a registered graph.
-    Evict {
-        /// Registry name.
-        name: String,
-    },
-    /// Cluster: aggregated shard occupancy (fleet fan-out).
-    ShardStat,
-    /// Cluster admin: register a shard endpoint with a coordinator.
-    Join {
-        /// Shard daemon address (`host:port`).
-        addr: String,
-    },
+    pub request: Request,
 }
 
 /// Arguments of `lotus loadgen`.
@@ -887,47 +839,50 @@ pub fn parse(argv: &[&str]) -> Result<Command, ParseError> {
                     .next()
                     .ok_or_else(|| ParseError(format!("query {verb}: missing {what}")))
             };
-            let action = match verb.as_str() {
-                "ping" => QueryAction::Ping,
-                "stats" => QueryAction::Stats,
-                "drain" => QueryAction::Drain,
-                "count" => QueryAction::Count {
+            let deadline_ms = deadline_ms.unwrap_or(NO_DEADLINE);
+            let request = match verb.as_str() {
+                "ping" => Request::Ping,
+                "stats" => Request::Stats,
+                "drain" => Request::Drain,
+                "count" => Request::Count {
                     name: need("graph name")?,
+                    deadline_ms,
                 },
-                "per-vertex" => QueryAction::PerVertex {
-                    name: need("graph name")?,
-                    range,
-                },
-                "kclique" => {
-                    let name = need("graph name")?;
-                    let k = parse_num("kclique k", &need("clique size k")?)?;
-                    QueryAction::KClique { name, k }
+                "per-vertex" => {
+                    // (0, 0) asks the daemon for its default span.
+                    let (start, end) = range.unwrap_or((0, 0));
+                    Request::PerVertex {
+                        name: need("graph name")?,
+                        start,
+                        end,
+                        deadline_ms,
+                    }
                 }
-                "load" => {
-                    let name = need("graph name")?;
-                    let spec = need("graph spec")?;
-                    QueryAction::Load { name, spec }
-                }
-                "evict" => QueryAction::Evict {
+                "kclique" => Request::KClique {
+                    name: need("graph name")?,
+                    k: parse_num("kclique k", &need("clique size k")?)?,
+                    deadline_ms,
+                },
+                "load" => Request::LoadGraph {
+                    name: need("graph name")?,
+                    spec: need("graph spec")?,
+                },
+                "evict" => Request::EvictGraph {
                     name: need("graph name")?,
                 },
-                "shard-stat" => QueryAction::ShardStat,
-                "join" => QueryAction::Join {
+                "shard-stat" => Request::ShardStat,
+                "join" => Request::ShardJoin {
                     addr: need("shard address")?,
                 },
                 other => return Err(ParseError(format!("unknown query action '{other}'"))),
             };
-            if range.is_some() && !matches!(action, QueryAction::PerVertex { .. }) {
+            if range.is_some() && !matches!(request, Request::PerVertex { .. }) {
                 return Err(ParseError("--range only applies to per-vertex".into()));
             }
             if let Some(extra) = words.next() {
                 return Err(ParseError(format!("unexpected argument '{extra}'")));
             }
-            Ok(Command::Query(QueryArgs {
-                addr,
-                action,
-                deadline_ms,
-            }))
+            Ok(Command::Query(QueryArgs { addr, request }))
         }
         "loadgen" => {
             let mut addr = None;
@@ -1455,57 +1410,57 @@ mod tests {
             parse(&["query", "127.0.0.1:7070", "ping"]).unwrap(),
             Command::Query(QueryArgs {
                 addr: "127.0.0.1:7070".into(),
-                action: QueryAction::Ping,
-                deadline_ms: None,
+                request: Request::Ping,
             })
         );
         assert_eq!(
             parse(&["query", "a:1", "count", "g", "--deadline-ms", "250"]).unwrap(),
             Command::Query(QueryArgs {
                 addr: "a:1".into(),
-                action: QueryAction::Count { name: "g".into() },
-                deadline_ms: Some(250),
+                request: Request::Count {
+                    name: "g".into(),
+                    deadline_ms: 250,
+                },
             })
         );
         assert_eq!(
             parse(&["query", "a:1", "per-vertex", "g", "--range", "16..80"]).unwrap(),
             Command::Query(QueryArgs {
                 addr: "a:1".into(),
-                action: QueryAction::PerVertex {
+                request: Request::PerVertex {
                     name: "g".into(),
-                    range: Some((16, 80)),
+                    start: 16,
+                    end: 80,
+                    deadline_ms: NO_DEADLINE,
                 },
-                deadline_ms: None,
             })
         );
         assert_eq!(
             parse(&["query", "a:1", "kclique", "g", "5"]).unwrap(),
             Command::Query(QueryArgs {
                 addr: "a:1".into(),
-                action: QueryAction::KClique {
+                request: Request::KClique {
                     name: "g".into(),
-                    k: 5
+                    k: 5,
+                    deadline_ms: NO_DEADLINE,
                 },
-                deadline_ms: None,
             })
         );
         assert_eq!(
             parse(&["query", "a:1", "load", "g", "rmat:9:8:7"]).unwrap(),
             Command::Query(QueryArgs {
                 addr: "a:1".into(),
-                action: QueryAction::Load {
+                request: Request::LoadGraph {
                     name: "g".into(),
                     spec: "rmat:9:8:7".into()
                 },
-                deadline_ms: None,
             })
         );
         assert_eq!(
             parse(&["query", "a:1", "evict", "g"]).unwrap(),
             Command::Query(QueryArgs {
                 addr: "a:1".into(),
-                action: QueryAction::Evict { name: "g".into() },
-                deadline_ms: None,
+                request: Request::EvictGraph { name: "g".into() },
             })
         );
         assert!(parse(&["query"]).is_err());
@@ -1522,16 +1477,14 @@ mod tests {
             parse(&["query", "a:1", "shard-stat"]).unwrap(),
             Command::Query(QueryArgs {
                 addr: "a:1".into(),
-                action: QueryAction::ShardStat,
-                deadline_ms: None,
+                request: Request::ShardStat,
             })
         );
         assert_eq!(
             parse(&["query", "a:1", "join", "b:2"]).unwrap(),
             Command::Query(QueryArgs {
                 addr: "a:1".into(),
-                action: QueryAction::Join { addr: "b:2".into() },
-                deadline_ms: None,
+                request: Request::ShardJoin { addr: "b:2".into() },
             })
         );
         assert!(parse(&["query", "a:1", "join"]).is_err());

@@ -25,8 +25,7 @@ use lotus_resilience::{isolate, Deadline, MemoryBudget, RunGuard};
 use crate::args::{
     AnalyzeArgs, AnalyzeGraphArgs, AnalyzeLintArgs, AnalyzeLocksArgs, AnalyzeRaceArgs, BenchArgs,
     BenchCompareArgs, BenchRunArgs, CheckArgs, ClusterServeArgs, ClusterShardArgs, ConvertArgs,
-    CountArgs, GenerateArgs, LoadgenCliArgs, QueryAction, QueryArgs, ServeCliArgs,
-    ServeRecoverArgs,
+    CountArgs, GenerateArgs, LoadgenCliArgs, QueryArgs, ServeCliArgs, ServeRecoverArgs,
 };
 
 /// A command failure: user-facing message plus process exit code.
@@ -791,39 +790,12 @@ pub fn serve_recover(args: ServeRecoverArgs) -> Result<String, CliError> {
 /// Returns a [`CliError`] when the daemon is unreachable, the
 /// transport fails, or the daemon answers with an error response.
 pub fn query(args: QueryArgs) -> Result<String, CliError> {
-    use lotus_serve::proto::NO_DEADLINE;
-    use lotus_serve::{ErrorKind, Request, Response};
+    use lotus_serve::{ErrorKind, Response};
 
-    let deadline_ms = args.deadline_ms.unwrap_or(NO_DEADLINE);
-    let request = match args.action {
-        QueryAction::Ping => Request::Ping,
-        QueryAction::Stats => Request::Stats,
-        QueryAction::Drain => Request::Drain,
-        QueryAction::Count { name } => Request::Count { name, deadline_ms },
-        QueryAction::PerVertex { name, range } => {
-            // (0, 0) asks the daemon for its default span.
-            let (start, end) = range.unwrap_or((0, 0));
-            Request::PerVertex {
-                name,
-                start,
-                end,
-                deadline_ms,
-            }
-        }
-        QueryAction::KClique { name, k } => Request::KClique {
-            name,
-            k,
-            deadline_ms,
-        },
-        QueryAction::Load { name, spec } => Request::LoadGraph { name, spec },
-        QueryAction::Evict { name } => Request::EvictGraph { name },
-        QueryAction::ShardStat => Request::ShardStat,
-        QueryAction::Join { addr } => Request::ShardJoin { addr },
-    };
     let mut client = lotus_serve::Client::connect(args.addr.as_str())
         .map_err(|e| CliError::runtime(format!("connecting to {}: {e}", args.addr)))?;
     let reply = client
-        .call(&request)
+        .call(&args.request)
         .map_err(|e| CliError::runtime(format!("request failed: {e}")))?;
     let rendered = reply.to_json().pretty();
     match reply {
@@ -996,6 +968,8 @@ fn save_edges(el: &EdgeList, path: &str) -> Result<(), CliError> {
 mod tests {
     use super::*;
     use crate::args::parse;
+    use lotus_serve::proto::NO_DEADLINE;
+    use lotus_serve::Request;
 
     fn tmp(name: &str) -> String {
         let dir = std::env::temp_dir().join("lotus_cli_tests");
@@ -1335,26 +1309,26 @@ mod tests {
 
         let out = query(QueryArgs {
             addr: addr.clone(),
-            action: QueryAction::Ping,
-            deadline_ms: None,
+            request: Request::Ping,
         })
         .unwrap();
         assert!(out.contains("pong"), "{out}");
 
         let out = query(QueryArgs {
             addr: addr.clone(),
-            action: QueryAction::Load {
+            request: Request::LoadGraph {
                 name: "g".into(),
                 spec: "rmat:7:8:5".into(),
             },
-            deadline_ms: None,
         })
         .unwrap();
         assert!(out.contains("loaded"), "{out}");
         let out = query(QueryArgs {
             addr: addr.clone(),
-            action: QueryAction::Count { name: "g".into() },
-            deadline_ms: None,
+            request: Request::Count {
+                name: "g".into(),
+                deadline_ms: NO_DEADLINE,
+            },
         })
         .unwrap();
         assert!(out.contains("triangles"), "{out}");
@@ -1362,18 +1336,20 @@ mod tests {
         // A 0 ms deadline maps onto the interrupted exit code.
         let err = query(QueryArgs {
             addr: addr.clone(),
-            action: QueryAction::Count { name: "g".into() },
-            deadline_ms: Some(0),
+            request: Request::Count {
+                name: "g".into(),
+                deadline_ms: 0,
+            },
         })
         .unwrap_err();
         assert_eq!(err.code, 124, "{}", err.message);
         // An unknown graph is a runtime error.
         let err = query(QueryArgs {
             addr: addr.clone(),
-            action: QueryAction::Count {
+            request: Request::Count {
                 name: "missing".into(),
+                deadline_ms: NO_DEADLINE,
             },
-            deadline_ms: None,
         })
         .unwrap_err();
         assert_eq!(err.code, 1, "{}", err.message);
@@ -1419,8 +1395,7 @@ mod tests {
         // Drain through the client path shuts the daemon down.
         let out = query(QueryArgs {
             addr,
-            action: QueryAction::Drain,
-            deadline_ms: None,
+            request: Request::Drain,
         })
         .unwrap();
         assert!(out.contains("draining"), "{out}");
@@ -1449,10 +1424,9 @@ mod tests {
         // `query join` grows the fleet through the one-shot client.
         let out = query(QueryArgs {
             addr: addr.clone(),
-            action: QueryAction::Join {
+            request: Request::ShardJoin {
                 addr: extra.addr().to_string(),
             },
-            deadline_ms: None,
         })
         .unwrap();
         assert!(out.contains("\"shards\": 3"), "{out}");
@@ -1488,8 +1462,7 @@ mod tests {
         // warm-up graph is still placed).
         let out = query(QueryArgs {
             addr,
-            action: QueryAction::ShardStat,
-            deadline_ms: None,
+            request: Request::ShardStat,
         })
         .unwrap();
         assert!(out.contains("\"shard_graphs\": 1"), "{out}");

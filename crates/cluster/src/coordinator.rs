@@ -167,7 +167,11 @@ pub struct ClusterState {
     journal: Option<TracedMutex<Journal>>,
     stats: ClusterStats,
     engine: Engine,
-    started: Instant,
+    /// Milliseconds the startup map-journal replay took (0 without a
+    /// data dir).
+    recovery_ms: u64,
+    /// Map-journal records that replay read.
+    journal_replays: u64,
 }
 
 impl ClusterState {
@@ -328,16 +332,20 @@ impl Drop for CoordinatorHandle {
 pub fn spawn(config: ClusterConfig) -> Result<CoordinatorHandle, ClusterError> {
     let mut map = ShardMap::new();
     let mut journal = None;
+    let (mut recovery_ms, mut journal_replays) = (0, 0);
     if let Some(dir) = config.data_dir.as_ref() {
         std::fs::create_dir_all(dir).map_err(ClusterError::Journal)?;
         let path = dir.join(CLUSTER_JOURNAL);
         if path.exists() {
+            let replay = Instant::now();
             let readout = read_journal(&path).map_err(ClusterError::Journal)?;
+            journal_replays = readout.records.len() as u64;
             let (recovered, errors) = ShardMap::from_entries(&readout.fold());
             // Per-entry damage is tolerated (the map degrades), but it
             // is not silent: counted for the operator.
             counters::add(Counter::ClusterMapRecoveryErrors, errors.len() as u64);
             map = recovered;
+            recovery_ms = replay.elapsed().as_millis() as u64;
         }
         journal = Some(TracedMutex::new(
             "cluster.journal",
@@ -371,7 +379,8 @@ pub fn spawn(config: ClusterConfig) -> Result<CoordinatorHandle, ClusterError> {
             ..ServeConfig::default()
         })
         .map_err(ClusterError::Io)?,
-        started: Instant::now(),
+        recovery_ms,
+        journal_replays,
     });
     for record in &join_records {
         state
@@ -740,9 +749,9 @@ fn run_batch(state: &ClusterState, items: &[Request]) -> Response {
 }
 
 /// The coordinator's own `Stats` reply: map occupancy, coordinator
-/// counters, and the engine's connection, loop and admission figures.
-/// Registry and durability fields stay zero — there is no registry
-/// here, and honest zeros beat fabricated numbers.
+/// counters, the map-journal replay, and the engine's connection, loop
+/// and admission figures. Registry and snapshot fields stay zero — there
+/// is no registry here, and honest zeros beat fabricated numbers.
 fn coordinator_stats(state: &ClusterState) -> StatsReply {
     let (graphs, shards) = {
         let map = state.lock_map();
@@ -754,7 +763,8 @@ fn coordinator_stats(state: &ClusterState) -> StatsReply {
         // The worker-count slot carries the fleet size: `loadgen
         // --cluster` reads it as the shard count (DESIGN.md §16.5).
         workers: shards,
-        recovery_ms: state.started.elapsed().as_millis() as u64,
+        recovery_ms: state.recovery_ms,
+        journal_replays: state.journal_replays,
         ..state.engine.stats()
     }
 }

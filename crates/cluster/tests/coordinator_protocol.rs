@@ -2,15 +2,20 @@
 //! daemon's event loop, so it owes clients the same connection
 //! contract — in-order pipelining, `bad_request` without a close for a
 //! CRC-valid but undecodable frame, drain that answers everything it
-//! accepted, and the engine's connection and loop figures in `Stats`.
+//! accepted, and the engine's connection and loop figures in `Stats`,
+//! whose recovery fields describe the map-journal replay.
 
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
-use lotus_cluster::{spawn as spawn_coordinator, ClusterConfig, CoordinatorHandle};
+use lotus_cluster::{
+    spawn as spawn_coordinator, ClusterConfig, CoordinatorHandle, CLUSTER_JOURNAL,
+};
+use lotus_serve::journal::read_journal;
 use lotus_serve::proto::{
-    read_response, write_frame, write_request, ErrorKind, Request, Response, NO_DEADLINE,
+    read_response, write_frame, write_request, ErrorKind, Request, Response, StatsReply,
+    NO_DEADLINE,
 };
 use lotus_serve::{spawn as spawn_serve, Client, ServeConfig, ServerHandle};
 
@@ -206,6 +211,64 @@ fn stats_report_the_engine() {
     assert_eq!(stats.workers, 2, "the worker slot carries the fleet size");
     assert_eq!(stats.graphs, 1);
     stop(shards, coordinator);
+}
+
+fn stats_of(coordinator: &CoordinatorHandle) -> StatsReply {
+    let mut client = Client::connect(coordinator.addr()).expect("connect");
+    match client.call(&Request::Stats).expect("stats") {
+        Response::Stats(stats) => stats,
+        other => panic!("unexpected Stats reply: {other:?}"),
+    }
+}
+
+#[test]
+fn stats_report_the_map_journal_replay_not_the_uptime() {
+    // Without a data dir nothing is replayed, however long the
+    // coordinator has been up.
+    let bare = spawn_coordinator(ClusterConfig::default()).expect("spawn coordinator");
+    std::thread::sleep(Duration::from_millis(50));
+    let stats = stats_of(&bare);
+    assert_eq!(stats.recovery_ms, 0, "uptime is not recovery time");
+    assert_eq!(stats.journal_replays, 0);
+    bare.shutdown();
+    bare.wait();
+
+    // A restart on a data dir replays every map record the first run
+    // journaled: two shard joins and one placement at least.
+    let dir = std::env::temp_dir().join(format!("lotus-coord-replay-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let shards = vec![shard_daemon(Duration::ZERO), shard_daemon(Duration::ZERO)];
+    let first = spawn_coordinator(ClusterConfig {
+        shards: shards.iter().map(|s| s.addr().to_string()).collect(),
+        data_dir: Some(dir.clone()),
+        ..ClusterConfig::default()
+    })
+    .expect("spawn first coordinator");
+    let mut client = Client::connect(first.addr()).expect("connect first");
+    let loaded = client
+        .call(&Request::LoadGraph {
+            name: "g".into(),
+            spec: SPEC.into(),
+        })
+        .expect("cluster load");
+    assert!(matches!(loaded, Response::Loaded { .. }), "{loaded:?}");
+    drop(client);
+    stop(shards, first);
+    let records = read_journal(dir.join(CLUSTER_JOURNAL))
+        .expect("read map journal")
+        .records
+        .len() as u64;
+    assert!(records >= 3, "{records} map records");
+
+    let second = spawn_coordinator(ClusterConfig {
+        data_dir: Some(dir.clone()),
+        ..ClusterConfig::default()
+    })
+    .expect("spawn second coordinator");
+    assert_eq!(stats_of(&second).journal_replays, records);
+    second.shutdown();
+    second.wait();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

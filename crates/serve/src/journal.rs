@@ -30,6 +30,8 @@ use std::path::{Path, PathBuf};
 use lotus_graph::crc32::crc32;
 use lotus_resilience::fault_point;
 
+use crate::proto::{Dec, ProtoError};
+
 /// Journal file magic.
 pub const JOURNAL_MAGIC: &[u8; 4] = b"LOTJ";
 /// Current journal format version.
@@ -63,115 +65,52 @@ pub enum JournalRecord {
 
 impl JournalRecord {
     fn encode(&self) -> Vec<u8> {
-        let mut p = Vec::new();
-        match self {
-            JournalRecord::Register { name, spec } => {
-                p.push(1);
-                put_str(&mut p, name);
-                put_str(&mut p, spec);
-            }
-            JournalRecord::Evict { name } => {
-                p.push(2);
-                put_str(&mut p, name);
-            }
+        let len32 = |n: usize| u32::try_from(n).unwrap_or(u32::MAX).to_le_bytes();
+        let (kind, strings): (u8, Vec<&String>) = match self {
+            JournalRecord::Register { name, spec } => (1, vec![name, spec]),
+            JournalRecord::Evict { name } => (2, vec![name]),
             JournalRecord::Checkpoint { entries } => {
-                p.push(3);
-                p.extend_from_slice(
-                    &u32::try_from(entries.len())
-                        .unwrap_or(u32::MAX)
-                        .to_le_bytes(),
-                );
-                for (name, spec) in entries {
-                    put_str(&mut p, name);
-                    put_str(&mut p, spec);
-                }
+                (3, entries.iter().flat_map(|(n, s)| [n, s]).collect())
             }
+        };
+        let mut p = vec![kind];
+        if let JournalRecord::Checkpoint { entries } = self {
+            p.extend_from_slice(&len32(entries.len()));
+        }
+        for s in strings {
+            p.extend_from_slice(&len32(s.len()));
+            p.extend_from_slice(s.as_bytes());
         }
         p
     }
 
-    fn decode(payload: &[u8]) -> Result<JournalRecord, String> {
-        let mut cur = Cursor {
-            buf: payload,
-            pos: 0,
+    fn decode(payload: &[u8]) -> Result<JournalRecord, ProtoError> {
+        let mut d = Dec::new(payload);
+        let string = |d: &mut Dec<'_>| {
+            let len = d.u32()?;
+            d.utf8(len as usize)
         };
-        let kind = cur.u8()?;
-        let rec = match kind {
+        let rec = match d.u8()? {
             1 => JournalRecord::Register {
-                name: cur.string("register name")?,
-                spec: cur.string("register spec")?,
+                name: string(&mut d)?,
+                spec: string(&mut d)?,
             },
             2 => JournalRecord::Evict {
-                name: cur.string("evict name")?,
+                name: string(&mut d)?,
             },
             3 => {
-                let count = cur.u32("checkpoint count")?;
+                let count = d.u32()?;
                 // Bounded by the record size, not the declared count.
                 let mut entries = Vec::new();
                 for _ in 0..count {
-                    entries.push((
-                        cur.string("checkpoint name")?,
-                        cur.string("checkpoint spec")?,
-                    ));
+                    entries.push((string(&mut d)?, string(&mut d)?));
                 }
                 JournalRecord::Checkpoint { entries }
             }
-            other => return Err(format!("unknown record kind {other}")),
+            other => return Err(ProtoError::UnknownTag(other)),
         };
-        if cur.pos != payload.len() {
-            return Err(format!(
-                "{} trailing byte(s) after record",
-                payload.len() - cur.pos
-            ));
-        }
+        d.finish()?;
         Ok(rec)
-    }
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&u32::try_from(s.len()).unwrap_or(u32::MAX).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl Cursor<'_> {
-    fn u8(&mut self) -> Result<u8, String> {
-        let b = *self
-            .buf
-            .get(self.pos)
-            .ok_or_else(|| "record ended before kind byte".to_string())?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, String> {
-        let end = self
-            .pos
-            .checked_add(4)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| format!("record ended inside {what}"))?;
-        let mut raw = [0u8; 4];
-        raw.copy_from_slice(&self.buf[self.pos..end]);
-        self.pos = end;
-        Ok(u32::from_le_bytes(raw))
-    }
-
-    fn string(&mut self, what: &str) -> Result<String, String> {
-        let len = self.u32(what)? as usize;
-        let end = self
-            .pos
-            .checked_add(len)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| format!("record ended inside {what} bytes"))?;
-        let s = std::str::from_utf8(&self.buf[self.pos..end])
-            .map_err(|_| format!("{what} is not UTF-8"))?
-            .to_string();
-        self.pos = end;
-        Ok(s)
     }
 }
 

@@ -5,7 +5,9 @@
 //!
 //! - [`proto`] — the length-prefixed binary wire protocol (magic +
 //!   version + CRC32 trailer, untrusted-length hardening shared with
-//!   `lotus_graph::io`).
+//!   `lotus_graph::io`). Every message is declared once in its message
+//!   table, which generates the type, the encoder, the decoder and the
+//!   JSON form.
 //! - [`conn`] — the framed nonblocking connection (read-accumulate,
 //!   frame parse, partial-write resume, poller interest) every LSRV
 //!   socket runs on: the daemon's, loadgen's, and the coordinator's
@@ -23,14 +25,18 @@
 //! - [`client`] — a minimal blocking client.
 //! - [`loadgen`] — the multiplexed load generator measuring request
 //!   latency percentiles for the BENCH `serve` section.
+//! - [`journal`], [`store`], [`recovery`] — the durability layer: the
+//!   manifest journal (decoded with the protocol's bounds-checked
+//!   cursor), graph snapshots, and startup recovery.
 //!
 //! The daemon speaks fourteen request types — `Ping`, `Stats`, `Count`,
 //! `PerVertex`, `KClique`, `Batch`, the admin `LoadGraph` /
 //! `EvictGraph` / `Drain`, and the cluster tier's `ShardLoad` /
 //! `ShardCount` / `ShardPerVertex` / `ShardJoin` / `ShardStat` — and
-//! always answers with a structured [`proto::Response`], including
-//! typed errors for overload, expired deadlines, and isolated worker
-//! panics. See DESIGN.md §11 and §14.
+//! always answers with a structured [`proto::Response`] (twelve
+//! response types, ten [`ErrorKind`]s), including typed errors for
+//! overload, expired deadlines, and isolated worker panics. See
+//! DESIGN.md §11 and §14.
 
 pub mod client;
 pub mod conn;

@@ -21,6 +21,10 @@
 //! are a u16 length plus UTF-8 bytes. Deadlines travel as milliseconds
 //! with [`NO_DEADLINE`] meaning "none" (so an explicit `0` is an
 //! *already-expired* deadline — useful for admission-control tests).
+//!
+//! Each message is declared once in the message table below (tag, fields
+//! in wire order, JSON keys); the table macros derive its Rust type,
+//! encoder, decoder and JSON form, so a new field is one line.
 
 use std::io::{Read, Write};
 
@@ -100,67 +104,210 @@ impl From<std::io::Error> for ProtoError {
     }
 }
 
-/// Why a request failed, as carried by [`Response::Error`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ErrorKind {
+// ---------------------------------------------------------------------
+// The message table
+// ---------------------------------------------------------------------
+
+/// Declares a wire enum once and derives its codec: the Rust type, the
+/// tagged little-endian encoding, the decoder and the JSON value.
+///
+/// Each row is `tag => Variant`, then optionally
+/// - `["marker"]`: the JSON object opens with `"marker": true`;
+/// - `(binding: Type)` with an optional `as "key"`: a newtype variant
+///   whose payload is one [`Field`]; its JSON is the payload's own value,
+///   or an object holding it under `key`;
+/// - `{ field as "key": Type, .. }`: fields in wire order, each rendered
+///   under its own name or the given `key`.
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {$(
+            $(#[$vmeta:meta])*
+            $tag:literal => $variant:ident $([$marker:literal])?
+                $(($inner:ident: $ity:ty) $(as $ikey:literal)?)?
+                $({$($(#[$fmeta:meta])* $field:ident $(as $fkey:literal)?: $fty:ty,)*})?
+        ),* $(,)?}
+    ) => {
+        $(#[$meta])*
+        pub enum $name {$(
+            $(#[$vmeta])*
+            $variant $(($ity))? $({$($(#[$fmeta])* $field: $fty,)*})?,
+        )*}
+
+        impl $name {
+            /// Encodes the payload (tag + fields).
+            ///
+            /// # Errors
+            /// Returns [`ProtoError::Malformed`] when a string or list
+            /// outgrows its length prefix, or a batch nests or exceeds
+            /// [`MAX_BATCH`].
+            pub fn encode(&self) -> Result<Vec<u8>, ProtoError> {
+                let mut e = Enc::default();
+                self.put(&mut e)?;
+                Ok(e.buf)
+            }
+
+            /// Decodes a payload.
+            ///
+            /// # Errors
+            /// Returns [`ProtoError::UnknownTag`] for an unrecognized
+            /// first byte and [`ProtoError::Malformed`] for anything that
+            /// does not decode.
+            pub fn decode(payload: &[u8]) -> Result<Self, ProtoError> {
+                let mut d = Dec::new(payload);
+                let message = Self::get(&mut d)?;
+                d.finish()?;
+                Ok(message)
+            }
+        }
+
+        impl Message for $name {}
+
+        impl Field for $name {
+            fn put(&self, e: &mut Enc) -> Result<(), ProtoError> {
+                match self {$(
+                    $name::$variant $(($inner))? $({$($field),*})? => {
+                        e.buf.push($tag);
+                        $($inner.put(e)?;)?
+                        $($($field.put(e)?;)*)?
+                    }
+                )*}
+                Ok(())
+            }
+
+            fn get(d: &mut Dec<'_>) -> Result<Self, ProtoError> {
+                Ok(match d.u8()? {
+                    $($tag => $name::$variant
+                        $((<$ity as Field>::get(d)?))?
+                        $({$($field: Field::get(d)?,)*})?,)*
+                    other => return Err(ProtoError::UnknownTag(other)),
+                })
+            }
+
+            fn json(&self) -> Json {
+                match self {$(
+                    $name::$variant $(($inner))? $({$($field),*})? => json_of!(
+                        [$($marker)?] $(($inner $(as $ikey)?))? $($($field $(as $fkey)?),*)?
+                    ),
+                )*}
+            }
+        }
+    };
+}
+
+/// The JSON value of one `wire_enum!` row (see there).
+macro_rules! json_of {
+    ([] ($inner:ident)) => {
+        $inner.json()
+    };
+    ([] ($inner:ident as $key:literal)) => {
+        Json::Obj(vec![($key.into(), $inner.json())])
+    };
+    ([$($marker:literal)?] $($field:ident $(as $key:literal)?),*) => {
+        Json::Obj(vec![
+            $(($marker.into(), Json::Bool(true)),)?
+            $((json_key!($field $($key)?).into(), $field.json()),)*
+        ])
+    };
+}
+
+macro_rules! json_key {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident $key:literal) => {
+        $key
+    };
+}
+
+/// Declares a wire struct once: fields in wire order, its JSON an object
+/// keyed by field name.
+macro_rules! wire_struct {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {$(
+            $(#[$fmeta:meta])*
+            pub $field:ident: $fty:ty,
+        )*}
+    ) => {
+        $(#[$meta])*
+        pub struct $name {$(
+            $(#[$fmeta])*
+            pub $field: $fty,
+        )*}
+
+        impl Field for $name {
+            fn put(&self, e: &mut Enc) -> Result<(), ProtoError> {
+                $(self.$field.put(e)?;)*
+                Ok(())
+            }
+
+            fn get(d: &mut Dec<'_>) -> Result<Self, ProtoError> {
+                Ok($name {
+                    $($field: Field::get(d)?,)*
+                })
+            }
+
+            fn json(&self) -> Json {
+                Json::Obj(vec![$((stringify!($field).into(), self.$field.json()),)*])
+            }
+        }
+    };
+}
+
+/// Declares [`ErrorKind`] once: each kind with its snake_case name, and
+/// declaration order as the wire tag.
+macro_rules! error_kinds {
+    ($($(#[$meta:meta])* $kind:ident = $label:literal,)*) => {
+        /// Why a request failed, as carried by [`Response::Error`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum ErrorKind {$(
+            $(#[$meta])*
+            $kind,
+        )*}
+
+        impl ErrorKind {
+            const ALL: [ErrorKind; [$($label),*].len()] = [$(ErrorKind::$kind),*];
+
+            /// Stable snake_case name (the `"error"` field of the JSON form).
+            #[must_use]
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(ErrorKind::$kind => $label,)*
+                }
+            }
+        }
+    };
+}
+
+error_kinds! {
     /// Frame-level problem (bad magic/version/length/CRC).
-    Protocol,
+    Protocol = "protocol",
     /// Well-framed but semantically invalid request.
-    BadRequest,
+    BadRequest = "bad_request",
     /// Named graph is not resident and the name is not a buildable spec.
-    NotFound,
+    NotFound = "not_found",
     /// Bounded request queue was full; retry later.
-    Overloaded,
+    Overloaded = "overloaded",
     /// The request's deadline expired before or during execution.
-    DeadlineExpired,
+    DeadlineExpired = "deadline_expired",
     /// The request was cancelled.
-    Cancelled,
+    Cancelled = "cancelled",
     /// A worker panicked executing the request (isolated; daemon lives).
-    WorkerPanic,
+    WorkerPanic = "worker_panic",
     /// The daemon is draining and no longer accepts work.
-    ShuttingDown,
+    ShuttingDown = "shutting_down",
     /// The request succeeded in memory but its durability step
     /// (snapshot or journal) failed — the result is not crash-safe.
-    DurabilityFailed,
+    DurabilityFailed = "durability_failed",
     /// A cluster fan-out could not reach (or timed out waiting for) a
     /// shard daemon, so the exact merged answer cannot be produced.
-    ShardUnavailable,
+    ShardUnavailable = "shard_unavailable",
 }
 
 impl ErrorKind {
-    const ALL: [ErrorKind; 10] = [
-        ErrorKind::Protocol,
-        ErrorKind::BadRequest,
-        ErrorKind::NotFound,
-        ErrorKind::Overloaded,
-        ErrorKind::DeadlineExpired,
-        ErrorKind::Cancelled,
-        ErrorKind::WorkerPanic,
-        ErrorKind::ShuttingDown,
-        ErrorKind::DurabilityFailed,
-        ErrorKind::ShardUnavailable,
-    ];
-
-    /// Stable snake_case name (the `"error"` field of the JSON form).
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            ErrorKind::Protocol => "protocol",
-            ErrorKind::BadRequest => "bad_request",
-            ErrorKind::NotFound => "not_found",
-            ErrorKind::Overloaded => "overloaded",
-            ErrorKind::DeadlineExpired => "deadline_expired",
-            ErrorKind::Cancelled => "cancelled",
-            ErrorKind::WorkerPanic => "worker_panic",
-            ErrorKind::ShuttingDown => "shutting_down",
-            ErrorKind::DurabilityFailed => "durability_failed",
-            ErrorKind::ShardUnavailable => "shard_unavailable",
-        }
-    }
-
     fn tag(self) -> u8 {
-        // Declaration order is the wire tag.
-        ErrorKind::ALL.iter().position(|k| *k == self).unwrap_or(0) as u8
+        self as u8
     }
 
     fn from_tag(t: u8) -> Result<ErrorKind, ProtoError> {
@@ -171,236 +318,244 @@ impl ErrorKind {
     }
 }
 
-/// A client request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
-    /// Liveness probe.
-    Ping,
-    /// Server / registry statistics.
-    Stats,
-    /// Total triangle count of a resident (or spec-buildable) graph.
-    Count {
-        /// Registry key: a loaded name or a buildable spec.
-        name: String,
-        /// Milliseconds until the deadline; [`NO_DEADLINE`] for none.
-        deadline_ms: u64,
-    },
-    /// Per-vertex triangle counts over `[start, end)` (original IDs).
-    /// `start == end == 0` means the whole graph (still capped at
-    /// [`MAX_PER_VERTEX_SPAN`]).
-    PerVertex {
-        /// Registry key.
-        name: String,
-        /// First vertex of the slice.
-        start: u32,
-        /// One past the last vertex of the slice.
-        end: u32,
-        /// Milliseconds until the deadline; [`NO_DEADLINE`] for none.
-        deadline_ms: u64,
-    },
-    /// k-clique count (`1 ≤ k ≤` [`MAX_CLIQUE_K`]).
-    KClique {
-        /// Registry key.
-        name: String,
-        /// Clique size.
-        k: u32,
-        /// Milliseconds until the deadline; [`NO_DEADLINE`] for none.
-        deadline_ms: u64,
-    },
-    /// Admin: build/load a graph into the registry under `name`.
-    LoadGraph {
-        /// Registry key to store under.
-        name: String,
-        /// Graph source spec (see `registry::GraphSpec`).
-        spec: String,
-    },
-    /// Admin: drop a graph from the registry.
-    EvictGraph {
-        /// Registry key to drop.
-        name: String,
-    },
-    /// Admin: finish in-flight work, then shut the daemon down.
-    Drain,
-    /// Several non-admin requests executed as one worker-pool job (one
-    /// queue slot, one span) — the batching path.
-    Batch(Vec<Request>),
-    /// Cluster: build the graph from `spec`, extract the edge-balanced
-    /// partition `index` of `parts` as a shard subgraph (owned forward
-    /// columns plus ghost columns), and store it under `name`. The full
-    /// graph is built transiently from the deterministic spec; only the
-    /// subgraph stays resident.
-    ShardLoad {
-        /// Shard-store key.
-        name: String,
-        /// Deterministic graph spec (see `registry::GraphSpec`).
-        spec: String,
-        /// Total shards the graph is split across.
-        parts: u32,
-        /// This shard's partition index (`0 ≤ index < parts`).
-        index: u32,
-    },
-    /// Cluster: count the triangles owned by the shard subgraph `name`
-    /// (apex-restricted — exact when summed across all shards).
-    ShardCount {
-        /// Shard-store key.
-        name: String,
-        /// Milliseconds until the deadline; [`NO_DEADLINE`] for none.
-        deadline_ms: u64,
-    },
-    /// Cluster: this shard's contribution to per-vertex counts over the
-    /// window `[start, end)`; element-wise sums across shards are exact.
-    ShardPerVertex {
-        /// Shard-store key.
-        name: String,
-        /// First vertex of the window.
-        start: u32,
-        /// One past the last vertex of the window.
-        end: u32,
-        /// Milliseconds until the deadline; [`NO_DEADLINE`] for none.
-        deadline_ms: u64,
-    },
-    /// Cluster: a shard daemon announces itself to the coordinator.
-    ShardJoin {
-        /// Address (`host:port`) the coordinator should dial back.
-        addr: String,
-    },
-    /// Cluster: health/occupancy probe answered by a shard daemon.
-    ShardStat,
+wire_enum! {
+    /// A client request.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Request {
+        /// Liveness probe.
+        0 => Ping,
+        /// Server / registry statistics.
+        1 => Stats,
+        /// Total triangle count of a resident (or spec-buildable) graph.
+        2 => Count {
+            /// Registry key: a loaded name or a buildable spec.
+            name: String,
+            /// Milliseconds until the deadline; [`NO_DEADLINE`] for none.
+            deadline_ms: u64,
+        },
+        /// Per-vertex triangle counts over `[start, end)` (original IDs).
+        /// `start == end == 0` means the whole graph (still capped at
+        /// [`MAX_PER_VERTEX_SPAN`]).
+        3 => PerVertex {
+            /// Registry key.
+            name: String,
+            /// First vertex of the slice.
+            start: u32,
+            /// One past the last vertex of the slice.
+            end: u32,
+            /// Milliseconds until the deadline; [`NO_DEADLINE`] for none.
+            deadline_ms: u64,
+        },
+        /// k-clique count (`1 ≤ k ≤` [`MAX_CLIQUE_K`]).
+        4 => KClique {
+            /// Registry key.
+            name: String,
+            /// Clique size.
+            k: u32,
+            /// Milliseconds until the deadline; [`NO_DEADLINE`] for none.
+            deadline_ms: u64,
+        },
+        /// Admin: build/load a graph into the registry under `name`.
+        5 => LoadGraph {
+            /// Registry key to store under.
+            name: String,
+            /// Graph source spec (see `registry::GraphSpec`).
+            spec: String,
+        },
+        /// Admin: drop a graph from the registry.
+        6 => EvictGraph {
+            /// Registry key to drop.
+            name: String,
+        },
+        /// Admin: finish in-flight work, then shut the daemon down.
+        7 => Drain,
+        /// Several non-admin requests executed as one worker-pool job (one
+        /// queue slot, one span) — the batching path.
+        8 => Batch(items: Vec<Request>) as "batch",
+        /// Cluster: build the graph from `spec`, extract the edge-balanced
+        /// partition `index` of `parts` as a shard subgraph (owned forward
+        /// columns plus ghost columns), and store it under `name`. The full
+        /// graph is built transiently from the deterministic spec; only the
+        /// subgraph stays resident.
+        9 => ShardLoad {
+            /// Shard-store key.
+            name: String,
+            /// Deterministic graph spec (see `registry::GraphSpec`).
+            spec: String,
+            /// Total shards the graph is split across.
+            parts: u32,
+            /// This shard's partition index (`0 ≤ index < parts`).
+            index: u32,
+        },
+        /// Cluster: count the triangles owned by the shard subgraph `name`
+        /// (apex-restricted — exact when summed across all shards).
+        10 => ShardCount {
+            /// Shard-store key.
+            name: String,
+            /// Milliseconds until the deadline; [`NO_DEADLINE`] for none.
+            deadline_ms: u64,
+        },
+        /// Cluster: this shard's contribution to per-vertex counts over the
+        /// window `[start, end)`; element-wise sums across shards are exact.
+        11 => ShardPerVertex {
+            /// Shard-store key.
+            name: String,
+            /// First vertex of the window.
+            start: u32,
+            /// One past the last vertex of the window.
+            end: u32,
+            /// Milliseconds until the deadline; [`NO_DEADLINE`] for none.
+            deadline_ms: u64,
+        },
+        /// Cluster: a shard daemon announces itself to the coordinator.
+        12 => ShardJoin {
+            /// Address (`host:port`) the coordinator should dial back.
+            addr: String,
+        },
+        /// Cluster: health/occupancy probe answered by a shard daemon.
+        13 => ShardStat,
+    }
 }
 
-/// Server/registry statistics carried by [`Response::Stats`]. These are
-/// the always-on serving counters; armed `telemetry` builds mirror them
-/// into `lotus_telemetry::counters` as well.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StatsReply {
-    /// Graphs resident in the registry.
-    pub graphs: u32,
-    /// Bytes charged against the registry's memory budget.
-    pub resident_bytes: u64,
-    /// The registry's byte budget.
-    pub budget_bytes: u64,
-    /// Requests answered successfully.
-    pub requests_served: u64,
-    /// Requests rejected by admission control.
-    pub overloaded: u64,
-    /// Requests that expired their deadline.
-    pub deadline_expired: u64,
-    /// Registry lookups served from cache.
-    pub cache_hits: u64,
-    /// Registry lookups that had to build/load.
-    pub cache_misses: u64,
-    /// Worker panics confined by isolation.
-    pub panics: u64,
-    /// Worker threads in the pool.
-    pub workers: u32,
-    /// Capacity of the bounded request queue.
-    pub queue_capacity: u32,
-    /// Graph snapshots durably written (0 without a data dir).
-    pub snapshot_writes: u64,
-    /// Manifest journal records appended and synced.
-    pub journal_appends: u64,
-    /// Journal records replayed by startup recovery.
-    pub journal_replays: u64,
-    /// Files quarantined by startup recovery.
-    pub recovery_quarantined: u64,
-    /// Milliseconds the startup recovery pass took.
-    pub recovery_ms: u64,
-    /// Connections accepted since startup.
-    pub conns_accepted: u64,
-    /// Connections open right now.
-    pub conns_open: u64,
-    /// Event-loop threads multiplexing connections.
-    pub event_threads: u32,
-    /// Per-event-loop readiness/wakeup tallies, indexed by loop thread.
-    /// Lets the soak lane spot one hot loop that totals would hide.
-    pub loop_stats: Vec<LoopStat>,
+wire_struct! {
+    /// Server/registry statistics carried by [`Response::Stats`]. These are
+    /// the always-on serving counters; armed `telemetry` builds mirror them
+    /// into `lotus_telemetry::counters` as well.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct StatsReply {
+        /// Graphs resident in the registry.
+        pub graphs: u32,
+        /// Bytes charged against the registry's memory budget.
+        pub resident_bytes: u64,
+        /// The registry's byte budget.
+        pub budget_bytes: u64,
+        /// Requests answered successfully.
+        pub requests_served: u64,
+        /// Requests rejected by admission control.
+        pub overloaded: u64,
+        /// Requests that expired their deadline.
+        pub deadline_expired: u64,
+        /// Registry lookups served from cache.
+        pub cache_hits: u64,
+        /// Registry lookups that had to build/load.
+        pub cache_misses: u64,
+        /// Worker panics confined by isolation.
+        pub panics: u64,
+        /// Worker threads in the pool.
+        pub workers: u32,
+        /// Capacity of the bounded request queue.
+        pub queue_capacity: u32,
+        /// Graph snapshots durably written (0 without a data dir).
+        pub snapshot_writes: u64,
+        /// Manifest journal records appended and synced.
+        pub journal_appends: u64,
+        /// Journal records replayed by startup recovery.
+        pub journal_replays: u64,
+        /// Files quarantined by startup recovery.
+        pub recovery_quarantined: u64,
+        /// Milliseconds the startup recovery pass took.
+        pub recovery_ms: u64,
+        /// Connections accepted since startup.
+        pub conns_accepted: u64,
+        /// Connections open right now.
+        pub conns_open: u64,
+        /// Event-loop threads multiplexing connections.
+        pub event_threads: u32,
+        /// Per-event-loop readiness/wakeup tallies, indexed by loop thread.
+        /// Lets the soak lane spot one hot loop that totals would hide.
+        pub loop_stats: Vec<LoopStat>,
+    }
 }
 
-/// One event-loop thread's always-on activity counters (a row of
-/// [`StatsReply::loop_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LoopStat {
-    /// Readiness events delivered to this loop by the poller.
-    pub readiness_events: u64,
-    /// Times this loop's `wait` returned (including waker nudges).
-    pub loop_wakeups: u64,
+wire_struct! {
+    /// One event-loop thread's always-on activity counters (a row of
+    /// [`StatsReply::loop_stats`]).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct LoopStat {
+        /// Readiness events delivered to this loop by the poller.
+        pub readiness_events: u64,
+        /// Times this loop's `wait` returned (including waker nudges).
+        pub loop_wakeups: u64,
+    }
 }
 
-/// A server response.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Response {
-    /// Reply to [`Request::Ping`].
-    Pong,
-    /// Reply to [`Request::Stats`].
-    Stats(StatsReply),
-    /// Reply to [`Request::Count`].
-    Count {
-        /// Total triangles.
-        triangles: u64,
-        /// Whether the preprocessed graph came from the registry cache.
-        cached: bool,
-        /// Server-side execution time, microseconds.
-        wall_micros: u64,
-    },
-    /// Reply to [`Request::PerVertex`].
-    PerVertex {
-        /// First vertex of the returned slice.
-        start: u32,
-        /// Per-vertex triangle counts for `[start, start + len)`.
-        counts: Vec<u64>,
-    },
-    /// Reply to [`Request::KClique`].
-    KClique {
-        /// Clique size counted.
-        k: u32,
-        /// Number of k-cliques.
-        cliques: u64,
-    },
-    /// Reply to [`Request::LoadGraph`].
-    Loaded {
-        /// Vertices of the loaded graph.
-        vertices: u32,
-        /// Undirected edges.
-        edges: u64,
-        /// Bytes charged against the registry budget.
-        bytes: u64,
-        /// Resident graphs evicted to make room.
-        evicted: u32,
-    },
-    /// Reply to [`Request::EvictGraph`].
-    Evicted {
-        /// Whether the name was resident.
-        existed: bool,
-    },
-    /// Reply to [`Request::Drain`]: the daemon finishes in-flight work
-    /// and exits.
-    Draining,
-    /// Reply to [`Request::ShardJoin`]: the coordinator acknowledges the
-    /// shard and reports the fleet size it now tracks.
-    ShardJoined {
-        /// Shards registered with the coordinator after this join.
-        shards: u32,
-    },
-    /// Reply to [`Request::ShardStat`]: a shard daemon's occupancy.
-    ShardStat {
-        /// Shard subgraphs resident in the shard store.
-        graphs: u32,
-        /// Vertices owned across resident shard subgraphs.
-        owned_vertices: u64,
-        /// Forward entries resident (owned plus ghost columns).
-        entries: u64,
-        /// Entries held in ghost (non-owned) columns.
-        ghost_entries: u64,
-    },
-    /// Reply to [`Request::Batch`]: one response per sub-request.
-    Batch(Vec<Response>),
-    /// A structured failure.
-    Error {
-        /// Failure category.
-        kind: ErrorKind,
-        /// Human-readable detail.
-        message: String,
-    },
+wire_enum! {
+    /// A server response.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Response {
+        /// Reply to [`Request::Ping`].
+        0 => Pong ["pong"],
+        /// Reply to [`Request::Stats`].
+        1 => Stats(stats: StatsReply),
+        /// Reply to [`Request::Count`].
+        2 => Count {
+            /// Total triangles.
+            triangles: u64,
+            /// Whether the preprocessed graph came from the registry cache.
+            cached: bool,
+            /// Server-side execution time, microseconds.
+            wall_micros: u64,
+        },
+        /// Reply to [`Request::PerVertex`].
+        3 => PerVertex {
+            /// First vertex of the returned slice.
+            start: u32,
+            /// Per-vertex triangle counts for `[start, start + len)`.
+            counts: Vec<u64>,
+        },
+        /// Reply to [`Request::KClique`].
+        4 => KClique {
+            /// Clique size counted.
+            k: u32,
+            /// Number of k-cliques.
+            cliques: u64,
+        },
+        /// Reply to [`Request::LoadGraph`].
+        5 => Loaded ["loaded"] {
+            /// Vertices of the loaded graph.
+            vertices: u32,
+            /// Undirected edges.
+            edges: u64,
+            /// Bytes charged against the registry budget.
+            bytes: u64,
+            /// Resident graphs evicted to make room.
+            evicted: u32,
+        },
+        /// Reply to [`Request::EvictGraph`].
+        6 => Evicted {
+            /// Whether the name was resident.
+            existed as "evicted": bool,
+        },
+        /// Reply to [`Request::Drain`]: the daemon finishes in-flight work
+        /// and exits.
+        7 => Draining ["draining"],
+        /// Reply to [`Request::Batch`]: one response per sub-request.
+        8 => Batch(items: Vec<Response>) as "batch",
+        /// A structured failure.
+        9 => Error {
+            /// Failure category.
+            kind as "error": ErrorKind,
+            /// Human-readable detail.
+            message: String,
+        },
+        /// Reply to [`Request::ShardJoin`]: the coordinator acknowledges the
+        /// shard and reports the fleet size it now tracks.
+        10 => ShardJoined ["joined"] {
+            /// Shards registered with the coordinator after this join.
+            shards: u32,
+        },
+        /// Reply to [`Request::ShardStat`]: a shard daemon's occupancy.
+        11 => ShardStat {
+            /// Shard subgraphs resident in the shard store.
+            graphs as "shard_graphs": u32,
+            /// Vertices owned across resident shard subgraphs.
+            owned_vertices: u64,
+            /// Forward entries resident (owned plus ghost columns).
+            entries: u64,
+            /// Entries held in ghost (non-owned) columns.
+            ghost_entries: u64,
+        },
+    }
 }
 
 impl Response {
@@ -416,160 +571,52 @@ impl Response {
     /// The JSON rendering printed by `lotus query`.
     #[must_use]
     pub fn to_json(&self) -> Json {
-        match self {
-            Response::Pong => Json::Obj(vec![("pong".into(), Json::Bool(true))]),
-            Response::Stats(s) => Json::Obj(vec![
-                ("graphs".into(), Json::Int(i64::from(s.graphs))),
-                ("resident_bytes".into(), Json::Int(s.resident_bytes as i64)),
-                ("budget_bytes".into(), Json::Int(s.budget_bytes as i64)),
-                (
-                    "requests_served".into(),
-                    Json::Int(s.requests_served as i64),
-                ),
-                ("overloaded".into(), Json::Int(s.overloaded as i64)),
-                (
-                    "deadline_expired".into(),
-                    Json::Int(s.deadline_expired as i64),
-                ),
-                ("cache_hits".into(), Json::Int(s.cache_hits as i64)),
-                ("cache_misses".into(), Json::Int(s.cache_misses as i64)),
-                ("panics".into(), Json::Int(s.panics as i64)),
-                ("workers".into(), Json::Int(i64::from(s.workers))),
-                (
-                    "queue_capacity".into(),
-                    Json::Int(i64::from(s.queue_capacity)),
-                ),
-                (
-                    "snapshot_writes".into(),
-                    Json::Int(s.snapshot_writes as i64),
-                ),
-                (
-                    "journal_appends".into(),
-                    Json::Int(s.journal_appends as i64),
-                ),
-                (
-                    "journal_replays".into(),
-                    Json::Int(s.journal_replays as i64),
-                ),
-                (
-                    "recovery_quarantined".into(),
-                    Json::Int(s.recovery_quarantined as i64),
-                ),
-                ("recovery_ms".into(), Json::Int(s.recovery_ms as i64)),
-                ("conns_accepted".into(), Json::Int(s.conns_accepted as i64)),
-                ("conns_open".into(), Json::Int(s.conns_open as i64)),
-                (
-                    "event_threads".into(),
-                    Json::Int(i64::from(s.event_threads)),
-                ),
-                (
-                    "loop_stats".into(),
-                    Json::Arr(
-                        s.loop_stats
-                            .iter()
-                            .map(|l| {
-                                Json::Obj(vec![
-                                    (
-                                        "readiness_events".into(),
-                                        Json::Int(l.readiness_events as i64),
-                                    ),
-                                    ("loop_wakeups".into(), Json::Int(l.loop_wakeups as i64)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-            Response::Count {
-                triangles,
-                cached,
-                wall_micros,
-            } => Json::Obj(vec![
-                ("triangles".into(), Json::Int(*triangles as i64)),
-                ("cached".into(), Json::Bool(*cached)),
-                ("wall_micros".into(), Json::Int(*wall_micros as i64)),
-            ]),
-            Response::PerVertex { start, counts } => Json::Obj(vec![
-                ("start".into(), Json::Int(i64::from(*start))),
-                (
-                    "counts".into(),
-                    Json::Arr(counts.iter().map(|&c| Json::Int(c as i64)).collect()),
-                ),
-            ]),
-            Response::KClique { k, cliques } => Json::Obj(vec![
-                ("k".into(), Json::Int(i64::from(*k))),
-                ("cliques".into(), Json::Int(*cliques as i64)),
-            ]),
-            Response::Loaded {
-                vertices,
-                edges,
-                bytes,
-                evicted,
-            } => Json::Obj(vec![
-                ("loaded".into(), Json::Bool(true)),
-                ("vertices".into(), Json::Int(i64::from(*vertices))),
-                ("edges".into(), Json::Int(*edges as i64)),
-                ("bytes".into(), Json::Int(*bytes as i64)),
-                ("evicted".into(), Json::Int(i64::from(*evicted))),
-            ]),
-            Response::Evicted { existed } => {
-                Json::Obj(vec![("evicted".into(), Json::Bool(*existed))])
-            }
-            Response::Draining => Json::Obj(vec![("draining".into(), Json::Bool(true))]),
-            Response::ShardJoined { shards } => Json::Obj(vec![
-                ("joined".into(), Json::Bool(true)),
-                ("shards".into(), Json::Int(i64::from(*shards))),
-            ]),
-            Response::ShardStat {
-                graphs,
-                owned_vertices,
-                entries,
-                ghost_entries,
-            } => Json::Obj(vec![
-                ("shard_graphs".into(), Json::Int(i64::from(*graphs))),
-                ("owned_vertices".into(), Json::Int(*owned_vertices as i64)),
-                ("entries".into(), Json::Int(*entries as i64)),
-                ("ghost_entries".into(), Json::Int(*ghost_entries as i64)),
-            ]),
-            Response::Batch(items) => Json::Obj(vec![(
-                "batch".into(),
-                Json::Arr(items.iter().map(Response::to_json).collect()),
-            )]),
-            Response::Error { kind, message } => Json::Obj(vec![
-                ("error".into(), Json::Str(kind.name().into())),
-                ("message".into(), Json::Str(message.clone())),
-            ]),
-        }
+        self.json()
     }
 }
 
 // ---------------------------------------------------------------------
-// Payload encoding
+// Field codecs
 // ---------------------------------------------------------------------
 
-fn put_str(buf: &mut Vec<u8>, s: &str) -> Result<(), ProtoError> {
-    let bytes = s.as_bytes();
-    if bytes.len() > u16::MAX as usize {
-        return Err(ProtoError::Malformed(format!(
-            "string of {} bytes exceeds the u16 length prefix",
-            bytes.len()
-        )));
-    }
-    buf.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
-    buf.extend_from_slice(bytes);
-    Ok(())
+/// One wire type: its single little-endian encoding and its single JSON
+/// value. Every message field is a `Field`, and so is every message, so
+/// the message table below derives each codec from its field types.
+trait Field: Sized {
+    fn put(&self, e: &mut Enc) -> Result<(), ProtoError>;
+    fn get(d: &mut Dec<'_>) -> Result<Self, ProtoError>;
+    fn json(&self) -> Json;
+}
+
+/// A tagged message ([`Request`] or [`Response`]): the item type of a
+/// `Batch` body.
+trait Message: Field {}
+
+/// A payload under construction.
+#[derive(Default)]
+struct Enc {
+    buf: Vec<u8>,
+    /// Inside a `Batch` item, where another batch is malformed.
+    in_batch: bool,
 }
 
 /// Cursor over a received payload. All reads are bounds-checked; running
-/// past the end is a [`ProtoError::Malformed`].
-struct Dec<'a> {
+/// past the end is a [`ProtoError::Malformed`]. The manifest journal
+/// decodes its records with it too.
+pub(crate) struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Inside a `Batch` item, where another batch is malformed.
+    in_batch: bool,
 }
 
 impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0 }
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
+        Dec {
+            buf,
+            pos: 0,
+            in_batch: false,
+        }
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
@@ -583,35 +630,27 @@ impl<'a> Dec<'a> {
         Ok(slice)
     }
 
-    fn u8(&mut self) -> Result<u8, ProtoError> {
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], ProtoError> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
+    pub(crate) fn u8(&mut self) -> Result<u8, ProtoError> {
         Ok(self.take(1)?[0])
     }
 
-    fn u16(&mut self) -> Result<u16, ProtoError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
+    pub(crate) fn u32(&mut self) -> Result<u32, ProtoError> {
+        u32::get(self)
     }
 
-    fn u32(&mut self) -> Result<u32, ProtoError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtoError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn string(&mut self) -> Result<String, ProtoError> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
+    /// Reads `len` bytes as a UTF-8 string.
+    pub(crate) fn utf8(&mut self, len: usize) -> Result<String, ProtoError> {
+        String::from_utf8(self.take(len)?.to_vec())
             .map_err(|_| ProtoError::Malformed("string is not UTF-8".into()))
     }
 
-    fn finish(self) -> Result<(), ProtoError> {
+    pub(crate) fn finish(self) -> Result<(), ProtoError> {
         if self.pos == self.buf.len() {
             Ok(())
         } else {
@@ -623,418 +662,176 @@ impl<'a> Dec<'a> {
     }
 }
 
-impl Request {
-    /// Encodes the request payload (tag + fields).
-    ///
-    /// # Errors
-    /// Returns [`ProtoError::Malformed`] when a string field exceeds the
-    /// u16 length prefix or a batch exceeds [`MAX_BATCH`].
-    pub fn encode(&self) -> Result<Vec<u8>, ProtoError> {
-        let mut buf = Vec::new();
-        match self {
-            Request::Ping => buf.push(0),
-            Request::Stats => buf.push(1),
-            Request::Count { name, deadline_ms } => {
-                buf.push(2);
-                put_str(&mut buf, name)?;
-                buf.extend_from_slice(&deadline_ms.to_le_bytes());
+macro_rules! int_fields {
+    ($($t:ty),*) => {$(
+        impl Field for $t {
+            fn put(&self, e: &mut Enc) -> Result<(), ProtoError> {
+                e.buf.extend_from_slice(&self.to_le_bytes());
+                Ok(())
             }
-            Request::PerVertex {
-                name,
-                start,
-                end,
-                deadline_ms,
-            } => {
-                buf.push(3);
-                put_str(&mut buf, name)?;
-                buf.extend_from_slice(&start.to_le_bytes());
-                buf.extend_from_slice(&end.to_le_bytes());
-                buf.extend_from_slice(&deadline_ms.to_le_bytes());
+            fn get(d: &mut Dec<'_>) -> Result<Self, ProtoError> {
+                Ok(<$t>::from_le_bytes(d.array()?))
             }
-            Request::KClique {
-                name,
-                k,
-                deadline_ms,
-            } => {
-                buf.push(4);
-                put_str(&mut buf, name)?;
-                buf.extend_from_slice(&k.to_le_bytes());
-                buf.extend_from_slice(&deadline_ms.to_le_bytes());
+            fn json(&self) -> Json {
+                Json::Int(*self as i64)
             }
-            Request::LoadGraph { name, spec } => {
-                buf.push(5);
-                put_str(&mut buf, name)?;
-                put_str(&mut buf, spec)?;
-            }
-            Request::EvictGraph { name } => {
-                buf.push(6);
-                put_str(&mut buf, name)?;
-            }
-            Request::Drain => buf.push(7),
-            Request::Batch(items) => {
-                if items.len() > MAX_BATCH {
-                    return Err(ProtoError::Malformed(format!(
-                        "batch of {} exceeds the {MAX_BATCH}-request cap",
-                        items.len()
-                    )));
-                }
-                buf.push(8);
-                buf.extend_from_slice(&(items.len() as u16).to_le_bytes());
-                for item in items {
-                    if matches!(item, Request::Batch(_)) {
-                        return Err(ProtoError::Malformed("batches do not nest".into()));
-                    }
-                    let inner = item.encode()?;
-                    buf.extend_from_slice(&(inner.len() as u32).to_le_bytes());
-                    buf.extend_from_slice(&inner);
-                }
-            }
-            Request::ShardLoad {
-                name,
-                spec,
-                parts,
-                index,
-            } => {
-                buf.push(9);
-                put_str(&mut buf, name)?;
-                put_str(&mut buf, spec)?;
-                buf.extend_from_slice(&parts.to_le_bytes());
-                buf.extend_from_slice(&index.to_le_bytes());
-            }
-            Request::ShardCount { name, deadline_ms } => {
-                buf.push(10);
-                put_str(&mut buf, name)?;
-                buf.extend_from_slice(&deadline_ms.to_le_bytes());
-            }
-            Request::ShardPerVertex {
-                name,
-                start,
-                end,
-                deadline_ms,
-            } => {
-                buf.push(11);
-                put_str(&mut buf, name)?;
-                buf.extend_from_slice(&start.to_le_bytes());
-                buf.extend_from_slice(&end.to_le_bytes());
-                buf.extend_from_slice(&deadline_ms.to_le_bytes());
-            }
-            Request::ShardJoin { addr } => {
-                buf.push(12);
-                put_str(&mut buf, addr)?;
-            }
-            Request::ShardStat => buf.push(13),
         }
-        Ok(buf)
-    }
+    )*};
+}
+int_fields!(u16, u32, u64);
 
-    /// Decodes a request payload.
-    ///
-    /// # Errors
-    /// Returns [`ProtoError::UnknownTag`] for an unrecognized first byte
-    /// and [`ProtoError::Malformed`] for anything that does not decode.
-    pub fn decode(payload: &[u8]) -> Result<Request, ProtoError> {
-        let mut d = Dec::new(payload);
-        let req = Self::decode_inner(&mut d, true)?;
-        d.finish()?;
-        Ok(req)
+impl Field for bool {
+    fn put(&self, e: &mut Enc) -> Result<(), ProtoError> {
+        e.buf.push(u8::from(*self));
+        Ok(())
     }
-
-    fn decode_inner(d: &mut Dec<'_>, allow_batch: bool) -> Result<Request, ProtoError> {
-        let tag = d.u8()?;
-        let req = match tag {
-            0 => Request::Ping,
-            1 => Request::Stats,
-            2 => Request::Count {
-                name: d.string()?,
-                deadline_ms: d.u64()?,
-            },
-            3 => Request::PerVertex {
-                name: d.string()?,
-                start: d.u32()?,
-                end: d.u32()?,
-                deadline_ms: d.u64()?,
-            },
-            4 => Request::KClique {
-                name: d.string()?,
-                k: d.u32()?,
-                deadline_ms: d.u64()?,
-            },
-            5 => Request::LoadGraph {
-                name: d.string()?,
-                spec: d.string()?,
-            },
-            6 => Request::EvictGraph { name: d.string()? },
-            7 => Request::Drain,
-            8 => {
-                if !allow_batch {
-                    return Err(ProtoError::Malformed("batches do not nest".into()));
-                }
-                let count = d.u16()? as usize;
-                if count > MAX_BATCH {
-                    return Err(ProtoError::Malformed(format!(
-                        "batch of {count} exceeds the {MAX_BATCH}-request cap"
-                    )));
-                }
-                let mut items = Vec::with_capacity(count.min(MAX_PREALLOC_BYTES / 64));
-                for _ in 0..count {
-                    let len = d.u32()? as usize;
-                    let bytes = d.take(len)?;
-                    let mut inner = Dec::new(bytes);
-                    let item = Self::decode_inner(&mut inner, false)?;
-                    inner.finish()?;
-                    items.push(item);
-                }
-                Request::Batch(items)
-            }
-            9 => Request::ShardLoad {
-                name: d.string()?,
-                spec: d.string()?,
-                parts: d.u32()?,
-                index: d.u32()?,
-            },
-            10 => Request::ShardCount {
-                name: d.string()?,
-                deadline_ms: d.u64()?,
-            },
-            11 => Request::ShardPerVertex {
-                name: d.string()?,
-                start: d.u32()?,
-                end: d.u32()?,
-                deadline_ms: d.u64()?,
-            },
-            12 => Request::ShardJoin { addr: d.string()? },
-            13 => Request::ShardStat,
-            other => return Err(ProtoError::UnknownTag(other)),
-        };
-        Ok(req)
+    fn get(d: &mut Dec<'_>) -> Result<Self, ProtoError> {
+        Ok(d.u8()? != 0)
+    }
+    fn json(&self) -> Json {
+        Json::Bool(*self)
     }
 }
 
-impl Response {
-    /// Encodes the response payload (tag + fields).
-    ///
-    /// # Errors
-    /// Returns [`ProtoError::Malformed`] when a string field exceeds the
-    /// u16 length prefix.
-    pub fn encode(&self) -> Result<Vec<u8>, ProtoError> {
-        let mut buf = Vec::new();
-        match self {
-            Response::Pong => buf.push(0),
-            Response::Stats(s) => {
-                buf.push(1);
-                buf.extend_from_slice(&s.graphs.to_le_bytes());
-                buf.extend_from_slice(&s.resident_bytes.to_le_bytes());
-                buf.extend_from_slice(&s.budget_bytes.to_le_bytes());
-                buf.extend_from_slice(&s.requests_served.to_le_bytes());
-                buf.extend_from_slice(&s.overloaded.to_le_bytes());
-                buf.extend_from_slice(&s.deadline_expired.to_le_bytes());
-                buf.extend_from_slice(&s.cache_hits.to_le_bytes());
-                buf.extend_from_slice(&s.cache_misses.to_le_bytes());
-                buf.extend_from_slice(&s.panics.to_le_bytes());
-                buf.extend_from_slice(&s.workers.to_le_bytes());
-                buf.extend_from_slice(&s.queue_capacity.to_le_bytes());
-                buf.extend_from_slice(&s.snapshot_writes.to_le_bytes());
-                buf.extend_from_slice(&s.journal_appends.to_le_bytes());
-                buf.extend_from_slice(&s.journal_replays.to_le_bytes());
-                buf.extend_from_slice(&s.recovery_quarantined.to_le_bytes());
-                buf.extend_from_slice(&s.recovery_ms.to_le_bytes());
-                buf.extend_from_slice(&s.conns_accepted.to_le_bytes());
-                buf.extend_from_slice(&s.conns_open.to_le_bytes());
-                buf.extend_from_slice(&s.event_threads.to_le_bytes());
-                if s.loop_stats.len() > u16::MAX as usize {
-                    return Err(ProtoError::Malformed(format!(
-                        "{} loop stats exceed the u16 count prefix",
-                        s.loop_stats.len()
-                    )));
-                }
-                buf.extend_from_slice(&(s.loop_stats.len() as u16).to_le_bytes());
-                for l in &s.loop_stats {
-                    buf.extend_from_slice(&l.readiness_events.to_le_bytes());
-                    buf.extend_from_slice(&l.loop_wakeups.to_le_bytes());
-                }
-            }
-            Response::Count {
-                triangles,
-                cached,
-                wall_micros,
-            } => {
-                buf.push(2);
-                buf.extend_from_slice(&triangles.to_le_bytes());
-                buf.push(u8::from(*cached));
-                buf.extend_from_slice(&wall_micros.to_le_bytes());
-            }
-            Response::PerVertex { start, counts } => {
-                buf.push(3);
-                buf.extend_from_slice(&start.to_le_bytes());
-                buf.extend_from_slice(&(counts.len() as u32).to_le_bytes());
-                for &c in counts {
-                    buf.extend_from_slice(&c.to_le_bytes());
-                }
-            }
-            Response::KClique { k, cliques } => {
-                buf.push(4);
-                buf.extend_from_slice(&k.to_le_bytes());
-                buf.extend_from_slice(&cliques.to_le_bytes());
-            }
-            Response::Loaded {
-                vertices,
-                edges,
-                bytes,
-                evicted,
-            } => {
-                buf.push(5);
-                buf.extend_from_slice(&vertices.to_le_bytes());
-                buf.extend_from_slice(&edges.to_le_bytes());
-                buf.extend_from_slice(&bytes.to_le_bytes());
-                buf.extend_from_slice(&evicted.to_le_bytes());
-            }
-            Response::Evicted { existed } => {
-                buf.push(6);
-                buf.push(u8::from(*existed));
-            }
-            Response::Draining => buf.push(7),
-            Response::ShardJoined { shards } => {
-                buf.push(10);
-                buf.extend_from_slice(&shards.to_le_bytes());
-            }
-            Response::ShardStat {
-                graphs,
-                owned_vertices,
-                entries,
-                ghost_entries,
-            } => {
-                buf.push(11);
-                buf.extend_from_slice(&graphs.to_le_bytes());
-                buf.extend_from_slice(&owned_vertices.to_le_bytes());
-                buf.extend_from_slice(&entries.to_le_bytes());
-                buf.extend_from_slice(&ghost_entries.to_le_bytes());
-            }
-            Response::Batch(items) => {
-                buf.push(8);
-                buf.extend_from_slice(&(items.len() as u16).to_le_bytes());
-                for item in items {
-                    let inner = item.encode()?;
-                    buf.extend_from_slice(&(inner.len() as u32).to_le_bytes());
-                    buf.extend_from_slice(&inner);
-                }
-            }
-            Response::Error { kind, message } => {
-                buf.push(9);
-                buf.push(kind.tag());
-                put_str(&mut buf, message)?;
-            }
+/// A u16 byte length, then UTF-8 bytes.
+impl Field for String {
+    fn put(&self, e: &mut Enc) -> Result<(), ProtoError> {
+        prefix::<u16>(self.len(), "string bytes", e)?;
+        e.buf.extend_from_slice(self.as_bytes());
+        Ok(())
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, ProtoError> {
+        let len = u16::get(d)?;
+        d.utf8(usize::from(len))
+    }
+    fn json(&self) -> Json {
+        Json::Str(self.clone())
+    }
+}
+
+/// One tag byte; its JSON value is the snake_case name.
+impl Field for ErrorKind {
+    fn put(&self, e: &mut Enc) -> Result<(), ProtoError> {
+        e.buf.push(self.tag());
+        Ok(())
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, ProtoError> {
+        ErrorKind::from_tag(d.u8()?)
+    }
+    fn json(&self) -> Json {
+        Json::Str(self.name().into())
+    }
+}
+
+/// Per-vertex counts: a u32 count, then the values.
+impl Field for Vec<u64> {
+    fn put(&self, e: &mut Enc) -> Result<(), ProtoError> {
+        prefix::<u32>(self.len(), "per-vertex counts", e)?;
+        self.iter().try_for_each(|c| c.put(e))
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, ProtoError> {
+        let len = u32::get(d)?;
+        get_items(d, len as usize)
+    }
+    fn json(&self) -> Json {
+        json_list(self)
+    }
+}
+
+/// `loop_stats`: a u16 count, then the rows.
+impl Field for Vec<LoopStat> {
+    fn put(&self, e: &mut Enc) -> Result<(), ProtoError> {
+        prefix::<u16>(self.len(), "loop stats", e)?;
+        self.iter().try_for_each(|l| l.put(e))
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, ProtoError> {
+        let len = u16::get(d)?;
+        get_items(d, usize::from(len))
+    }
+    fn json(&self) -> Json {
+        json_list(self)
+    }
+}
+
+/// A `Batch` body: a u16 count (at most [`MAX_BATCH`]), then each item
+/// as a u32 length plus its own tagged payload. Batches do not nest.
+impl<M: Message> Field for Vec<M> {
+    fn put(&self, e: &mut Enc) -> Result<(), ProtoError> {
+        if e.in_batch {
+            return Err(ProtoError::Malformed("batches do not nest".into()));
         }
-        Ok(buf)
+        batch_cap(self.len())?;
+        prefix::<u16>(self.len(), "batch items", e)?;
+        for item in self {
+            let mut inner = Enc {
+                buf: Vec::new(),
+                in_batch: true,
+            };
+            item.put(&mut inner)?;
+            prefix::<u32>(inner.buf.len(), "item bytes", e)?;
+            e.buf.extend_from_slice(&inner.buf);
+        }
+        Ok(())
     }
+    fn get(d: &mut Dec<'_>) -> Result<Self, ProtoError> {
+        if d.in_batch {
+            return Err(ProtoError::Malformed("batches do not nest".into()));
+        }
+        let count = usize::from(u16::get(d)?);
+        batch_cap(count)?;
+        let mut items = Vec::with_capacity(prealloc::<M>(count));
+        for _ in 0..count {
+            let len = u32::get(d)?;
+            let mut inner = Dec::new(d.take(len as usize)?);
+            inner.in_batch = true;
+            items.push(M::get(&mut inner)?);
+            inner.finish()?;
+        }
+        Ok(items)
+    }
+    fn json(&self) -> Json {
+        json_list(self)
+    }
+}
 
-    /// Decodes a response payload.
-    ///
-    /// # Errors
-    /// Returns [`ProtoError::UnknownTag`] for an unrecognized first byte
-    /// and [`ProtoError::Malformed`] for anything that does not decode.
-    pub fn decode(payload: &[u8]) -> Result<Response, ProtoError> {
-        let mut d = Dec::new(payload);
-        let resp = Self::decode_inner(&mut d, true)?;
-        d.finish()?;
-        Ok(resp)
-    }
+/// Writes the count prefix of `len` items as a `P`, or refuses a count
+/// the prefix cannot hold.
+fn prefix<P: Field + TryFrom<usize>>(
+    len: usize,
+    what: &str,
+    e: &mut Enc,
+) -> Result<(), ProtoError> {
+    let bits = 8 * std::mem::size_of::<P>();
+    let too_long =
+        |_| ProtoError::Malformed(format!("{len} {what} exceed the u{bits} length prefix"));
+    P::try_from(len).map_err(too_long)?.put(e)
+}
 
-    fn decode_inner(d: &mut Dec<'_>, allow_batch: bool) -> Result<Response, ProtoError> {
-        let tag = d.u8()?;
-        let resp = match tag {
-            0 => Response::Pong,
-            1 => {
-                let mut s = StatsReply {
-                    graphs: d.u32()?,
-                    resident_bytes: d.u64()?,
-                    budget_bytes: d.u64()?,
-                    requests_served: d.u64()?,
-                    overloaded: d.u64()?,
-                    deadline_expired: d.u64()?,
-                    cache_hits: d.u64()?,
-                    cache_misses: d.u64()?,
-                    panics: d.u64()?,
-                    workers: d.u32()?,
-                    queue_capacity: d.u32()?,
-                    snapshot_writes: d.u64()?,
-                    journal_appends: d.u64()?,
-                    journal_replays: d.u64()?,
-                    recovery_quarantined: d.u64()?,
-                    recovery_ms: d.u64()?,
-                    conns_accepted: d.u64()?,
-                    conns_open: d.u64()?,
-                    event_threads: d.u32()?,
-                    loop_stats: Vec::new(),
-                };
-                let loops = d.u16()? as usize;
-                s.loop_stats.reserve(loops.min(MAX_PREALLOC_BYTES / 16));
-                for _ in 0..loops {
-                    s.loop_stats.push(LoopStat {
-                        readiness_events: d.u64()?,
-                        loop_wakeups: d.u64()?,
-                    });
-                }
-                Response::Stats(s)
-            }
-            2 => Response::Count {
-                triangles: d.u64()?,
-                cached: d.u8()? != 0,
-                wall_micros: d.u64()?,
-            },
-            3 => {
-                let start = d.u32()?;
-                let len = d.u32()? as usize;
-                let mut counts = Vec::with_capacity(len.min(MAX_PREALLOC_BYTES / 8));
-                for _ in 0..len {
-                    counts.push(d.u64()?);
-                }
-                Response::PerVertex { start, counts }
-            }
-            4 => Response::KClique {
-                k: d.u32()?,
-                cliques: d.u64()?,
-            },
-            5 => Response::Loaded {
-                vertices: d.u32()?,
-                edges: d.u64()?,
-                bytes: d.u64()?,
-                evicted: d.u32()?,
-            },
-            6 => Response::Evicted {
-                existed: d.u8()? != 0,
-            },
-            7 => Response::Draining,
-            8 => {
-                if !allow_batch {
-                    return Err(ProtoError::Malformed("batches do not nest".into()));
-                }
-                let count = d.u16()? as usize;
-                let mut items = Vec::with_capacity(count.min(MAX_PREALLOC_BYTES / 64));
-                for _ in 0..count {
-                    let len = d.u32()? as usize;
-                    let bytes = d.take(len)?;
-                    let mut inner = Dec::new(bytes);
-                    let item = Self::decode_inner(&mut inner, false)?;
-                    inner.finish()?;
-                    items.push(item);
-                }
-                Response::Batch(items)
-            }
-            9 => Response::Error {
-                kind: ErrorKind::from_tag(d.u8()?)?,
-                message: d.string()?,
-            },
-            10 => Response::ShardJoined { shards: d.u32()? },
-            11 => Response::ShardStat {
-                graphs: d.u32()?,
-                owned_vertices: d.u64()?,
-                entries: d.u64()?,
-                ghost_entries: d.u64()?,
-            },
-            other => return Err(ProtoError::UnknownTag(other)),
-        };
-        Ok(resp)
+fn batch_cap(len: usize) -> Result<(), ProtoError> {
+    if len > MAX_BATCH {
+        return Err(ProtoError::Malformed(format!(
+            "batch of {len} exceeds the {MAX_BATCH}-request cap"
+        )));
     }
+    Ok(())
+}
+
+/// Capacity to reserve for `n` declared items: the count is untrusted,
+/// so the reservation stays within `MAX_PREALLOC_BYTES`.
+fn prealloc<T>(n: usize) -> usize {
+    n.min(MAX_PREALLOC_BYTES / std::mem::size_of::<T>().max(1))
+}
+
+fn get_items<T: Field>(d: &mut Dec<'_>, n: usize) -> Result<Vec<T>, ProtoError> {
+    let mut items = Vec::with_capacity(prealloc::<T>(n));
+    for _ in 0..n {
+        items.push(T::get(d)?);
+    }
+    Ok(items)
+}
+
+fn json_list<T: Field>(items: &[T]) -> Json {
+    Json::Arr(items.iter().map(Field::json).collect())
 }
 
 // ---------------------------------------------------------------------
@@ -1094,10 +891,10 @@ pub fn read_frame<R: Read>(reader: &mut R) -> Result<Vec<u8>, ProtoError> {
     if len > MAX_FRAME_PAYLOAD {
         return Err(ProtoError::Oversized(len));
     }
-    let mut payload = vec![0u8; (len as usize).min(MAX_PRELLOC_CHUNK)];
+    let mut payload = vec![0u8; (len as usize).min(MAX_PREALLOC_BYTES)];
     let mut filled = 0usize;
     while filled < len as usize {
-        let want = ((len as usize) - filled).min(MAX_PRELLOC_CHUNK);
+        let want = ((len as usize) - filled).min(MAX_PREALLOC_BYTES);
         if payload.len() < filled + want {
             payload.resize(filled + want, 0);
         }
@@ -1113,10 +910,6 @@ pub fn read_frame<R: Read>(reader: &mut R) -> Result<Vec<u8>, ProtoError> {
     }
     Ok(payload)
 }
-
-/// Largest single growth step while reading a declared-length payload;
-/// equals the untrusted-header prealloc cap of `lotus_graph::io`.
-const MAX_PRELLOC_CHUNK: usize = MAX_PREALLOC_BYTES;
 
 /// `read_exact` that maps EOF inside a frame to [`ProtoError::Truncated`].
 fn read_exact_or_truncated<R: Read>(reader: &mut R, buf: &mut [u8]) -> Result<(), ProtoError> {
