@@ -5,20 +5,35 @@
 //!
 //! * **Hard failures** — triangle counts differ (a correctness bug, no
 //!   tolerance applies), a baseline run is missing from the current
-//!   artifact, or the artifacts have incompatible schema versions.
+//!   artifact, the artifacts have incompatible schema versions, or, with
+//!   telemetry armed in both, one of the [`EXACT_COUNTERS`] changed.
 //! * **Regressions** — `wall_ms` grew beyond `(1 + tolerance) ×`
 //!   baseline. Speedups never fail.
-//! * **Notes** — informational only: counter drift (tile visits depend
-//!   on the thread count, so counters are not gated), runs present only
-//!   in the current artifact, and environment differences.
+//! * **Notes** — informational only: drift of the other counters (tile
+//!   visits and the pool counters depend on the thread count), runs
+//!   present only in the current artifact, and environment differences.
 
 use std::fmt;
+
+use lotus_telemetry::Counter;
 
 use crate::report::{BenchReport, BenchRun};
 use crate::serve_section::ServeSection;
 
 /// Tolerance used by the CI gate when none is given on the command line.
 pub const DEFAULT_TOLERANCE: f64 = 0.25;
+
+/// The work counters that repeat exactly for one graph and algorithm on
+/// any thread count. When both artifacts armed telemetry, any change in
+/// one of them fails the gate: the code did different work.
+pub const EXACT_COUNTERS: [Counter; 6] = [
+    Counter::Intersections,
+    Counter::FruitlessIntersections,
+    Counter::MergeSteps,
+    Counter::BitmapProbes,
+    Counter::H2hProbes,
+    Counter::H2hHits,
+];
 
 /// Severity of one [`Finding`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,6 +162,7 @@ pub fn compare(baseline: &BenchReport, current: &BenchReport, tolerance: f64) ->
         )));
     }
 
+    let exact = baseline.environment.telemetry && current.environment.telemetry;
     for base in &baseline.runs {
         let Some(cur) = current.find(&base.dataset, &base.algorithm) else {
             findings.push(Finding::failure(format!(
@@ -156,7 +172,7 @@ pub fn compare(baseline: &BenchReport, current: &BenchReport, tolerance: f64) ->
             continue;
         };
         matched += 1;
-        compare_run(base, cur, tolerance, &mut findings);
+        compare_run(base, cur, tolerance, exact, &mut findings);
     }
 
     for cur in &current.runs {
@@ -255,7 +271,14 @@ pub fn compare_serve(
     findings
 }
 
-fn compare_run(base: &BenchRun, cur: &BenchRun, tolerance: f64, findings: &mut Vec<Finding>) {
+/// Compares one matched run. `exact` gates the [`EXACT_COUNTERS`].
+fn compare_run(
+    base: &BenchRun,
+    cur: &BenchRun,
+    tolerance: f64,
+    exact: bool,
+    findings: &mut Vec<Finding>,
+) {
     let key = format!("{}/{}", base.dataset, base.algorithm);
 
     // Triangle counts are exact; any drift is a correctness failure.
@@ -284,11 +307,18 @@ fn compare_run(base: &BenchRun, cur: &BenchRun, tolerance: f64, findings: &mut V
         )));
     }
 
-    // Counters are informational: tile visits scale with the thread
-    // count, so machines with different parallelism disagree legitimately.
+    // The other counters are informational: tile visits scale with the
+    // thread count, so machines with different parallelism disagree
+    // legitimately.
     for (name, base_value) in &base.counters {
         let cur_value = cur.counter(name);
-        if *base_value > 0 && cur_value == 0 {
+        if exact && EXACT_COUNTERS.iter().any(|c| c.name() == *name) {
+            if cur_value != *base_value {
+                findings.push(Finding::failure(format!(
+                    "{key}: counter '{name}' changed {base_value} -> {cur_value} (exact work counter)"
+                )));
+            }
+        } else if *base_value > 0 && cur_value == 0 {
             findings.push(Finding::note(format!(
                 "{key}: counter '{name}' dropped to 0 (baseline {base_value}); telemetry off?"
             )));
@@ -437,6 +467,47 @@ mod tests {
         let notes = cmp.with_severity(Severity::Note);
         assert!(notes.iter().any(|f| f.message.contains("thread count")));
         assert!(notes.iter().any(|f| f.message.contains("drifted")));
+    }
+
+    /// A run whose counters are `counters`.
+    fn counted(counters: Vec<(&'static str, u64)>) -> BenchRun {
+        BenchRun {
+            counters,
+            ..run("d", "Lotus", 42, 10.0)
+        }
+    }
+
+    #[test]
+    fn a_changed_exact_counter_fails() {
+        let base = report(vec![counted(vec![("intersections", 1000)])]);
+        let cur = report(vec![counted(vec![("intersections", 1001)])]);
+        let cmp = compare(&base, &cur, 0.25);
+        let failures = cmp.with_severity(Severity::Failure);
+        assert_eq!(failures.len(), 1, "{cmp}");
+        assert!(failures[0].message.contains("'intersections'"), "{cmp}");
+    }
+
+    #[test]
+    fn tile_visit_drift_is_a_note() {
+        let base = report(vec![counted(vec![("tile_visits", 1000)])]);
+        let cur = report(vec![counted(vec![("tile_visits", 5000)])]);
+        let cmp = compare(&base, &cur, 0.25);
+        assert!(cmp.passed(), "{cmp}");
+        let notes = cmp.with_severity(Severity::Note);
+        assert!(notes
+            .iter()
+            .any(|f| f.message.contains("'tile_visits' drifted")));
+    }
+
+    #[test]
+    fn telemetry_off_on_either_side_skips_the_exact_gate() {
+        let on = report(vec![counted(vec![("merge_steps", 1000)])]);
+        let mut off = report(vec![counted(vec![("merge_steps", 0)])]);
+        off.environment.telemetry = false;
+        for (base, cur) in [(&on, &off), (&off, &on)] {
+            let cmp = compare(base, cur, 0.25);
+            assert!(cmp.passed(), "{cmp}");
+        }
     }
 
     fn serve(p99_us: u64, errors: u64) -> ServeSection {
