@@ -51,8 +51,9 @@ counting pool size (default: one worker per core).
 bench runs a named dataset x algorithm suite (default ci) and, with
 --json, writes the machine-readable BENCH.json artifact (schema v1,
 documented in EXPERIMENTS.md). bench compare diffs two artifacts and
-fails (exit 1) on triangle-count changes, missing runs, or wall-time
-regressions beyond --tolerance (fractional, default 0.25 = +25%).
+fails (exit 1) on triangle-count changes, missing runs, wall-time
+regressions beyond --tolerance (fractional, default 0.25 = +25%), or a
+changed exact work counter (both artifacts with telemetry).
 Builds without `--features telemetry` report all work counters as 0.
 
 serve with --data-dir persists registered graphs (snapshots plus a
