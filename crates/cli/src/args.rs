@@ -1,90 +1,100 @@
-//! Hand-rolled argument parsing (no external CLI dependency).
+//! Argument parsing (no external CLI dependency).
+//!
+//! Each verb declares its positionals and flags once, as rows of one
+//! table: spelling, value name and default, help line and the setter
+//! that applies the value to the verb's target. `args!` declares a
+//! CLI-only target struct together with its table; `flags!` writes a
+//! table for a library config (`serve`, `cluster serve`, `loadgen`).
+//! One loop, `read`, parses every verb against its table, and
+//! [`usage`] renders `lotus help` from the same tables.
 
 use std::fmt;
+use std::fmt::Write as _;
+use std::str::FromStr;
+use std::time::Duration;
 
+use lotus_cluster::ClusterConfig;
 use lotus_resilience::MemoryBudget;
 use lotus_serve::proto::NO_DEADLINE;
-use lotus_serve::Request;
+use lotus_serve::{LoadgenConfig, Request, ServeConfig};
 
-/// Usage text shown by `lotus help`.
-pub const USAGE: &str = "\
-lotus — locality-optimizing triangle counting (PPoPP'22 reproduction)
+/// Usage text shown by `lotus help`: every verb with its table, then
+/// the notes.
+pub fn usage() -> String {
+    let mut out = String::from(
+        "lotus — locality-optimizing triangle counting (PPoPP'22 reproduction)\n\nUSAGE:\n",
+    );
+    section(&mut out, "count", COUNT);
+    section(&mut out, "analyze [graph]", ANALYZE);
+    section(&mut out, "analyze lint", LINT);
+    section(&mut out, "analyze race", RACE);
+    section(&mut out, "analyze locks", LOCKS);
+    section(&mut out, "generate", GENERATE);
+    section(&mut out, "convert", CONVERT);
+    section(&mut out, "check", CHECK);
+    section(&mut out, "bench", BENCH);
+    section(&mut out, "bench compare", COMPARE);
+    section(&mut out, "serve", SERVE);
+    section(&mut out, "serve recover", RECOVER);
+    section(&mut out, "cluster serve", CLUSTER);
+    section(&mut out, "cluster shard [serve flags]", &SHARD[..1]);
+    section(&mut out, "cluster query", &QUERY[..2]);
+    section(&mut out, "query", QUERY);
+    section(&mut out, "loadgen", LOADGEN);
+    section::<()>(&mut out, "help", &[]);
+    out + NOTES
+}
 
-USAGE:
-  lotus count <graph> [--algorithm lotus|forward|edge-iterator|gbbs|bbtc|adaptive]
-                      [--hubs N] [--per-vertex] [--timeout SECS]
-                      [--mem-budget SIZE] [--strict] [--threads N]
-  lotus analyze [graph] <graph> [--hub-fraction F]
-  lotus analyze lint [--waivers FILE] [--json FILE] [--deny-stale]
-  lotus analyze race [--seeds A,B,C] [--json FILE]
-  lotus analyze locks [--waivers FILE] [--json FILE]
-  lotus generate <rmat|ba|er|ws> --scale S [--edge-factor F] [--seed X]
-                 [--params social|web|mild] -o <file>
-  lotus convert <input> <output> [--strict]
-  lotus check <graph> [--hubs N] [--differential]
-  lotus bench [--suite ci|small|full] [--json FILE] [--threads N]
-  lotus bench compare <baseline.json> <current.json> [--tolerance F]
-  lotus serve [--bind ADDR] [--port P] [--workers N] [--queue N]
-              [--mem-budget SIZE] [--preload NAME=SPEC]...
-              [--data-dir DIR] [--snapshot-interval SECS]
-              [--event-threads N] [--max-conns N]
-  lotus serve recover <data-dir> [--dry-run] [--json FILE]
-  lotus cluster serve [--bind ADDR] [--port P] [--shard ADDR]...
-                      [--data-dir DIR] [--deadline-ms MS]
-                      [--allow-partial] [--retry-seed S]
-  lotus cluster shard [serve flags] [--coordinator ADDR]
-  lotus cluster query <addr> <action> (alias of lotus query)
-  lotus query <addr> <ping|stats|drain|count NAME|per-vertex NAME
-              [--range A..B]|kclique NAME K|load NAME SPEC|evict NAME
-              |shard-stat|join ADDR> [--deadline-ms MS]
-  lotus loadgen <addr> [--suite ci] [--connections N] [--requests M]
-                [--seed S] [--graph SPEC] [--json FILE] [--pipeline P]
-                [--cluster]
-  lotus help
+/// Appends a verb's synopsis (with its positionals) and one line per flag.
+fn section<T>(out: &mut String, verb: &str, rows: &[Flag<T>]) {
+    let (args, flags): (Vec<_>, Vec<_>) = rows.iter().partition(|f| f.is_positional());
+    let _ = write!(out, "  lotus {verb}");
+    for arg in args {
+        let _ = write!(out, " {}", arg.long);
+    }
+    out.push('\n');
+    for f in flags {
+        let short = f
+            .short
+            .map_or_else(|| "    ".to_string(), |s| format!("{s}, "));
+        let spelled = format!("{short}{} {}", f.long, f.value);
+        let default = match f.default {
+            "" => String::new(),
+            value => format!(" (default {value})"),
+        };
+        let _ = writeln!(out, "      {:<30}{}{default}", spelled.trim_end(), f.help);
+    }
+}
 
+const NOTES: &str = "
 Graph files: whitespace edge lists (any extension) or binary .lotg files.
---timeout interrupts the run cooperatively (exit code 124); --mem-budget
-(e.g. 512m, 2g) degrades LOTUS to fit; --strict rejects text edge lists
-with trailing garbage tokens instead of warning. --threads pins the
-counting pool size (default: one worker per core).
+query actions: ping, stats, drain, count NAME, per-vertex NAME, kclique
+NAME K, load NAME SPEC, evict NAME, shard-stat, join ADDR. cluster query
+is an alias of query.
 
-bench runs a named dataset x algorithm suite (default ci) and, with
---json, writes the machine-readable BENCH.json artifact (schema v1,
-documented in EXPERIMENTS.md). bench compare diffs two artifacts and
-fails (exit 1) on triangle-count changes, missing runs, wall-time
-regressions beyond --tolerance (fractional, default 0.25 = +25%), or a
-changed exact work counter (both artifacts with telemetry).
-Builds without `--features telemetry` report all work counters as 0.
+bench runs a named dataset x algorithm suite and, with --json, writes
+the machine-readable BENCH.json artifact (schema v1, documented in
+EXPERIMENTS.md). bench compare diffs two artifacts and fails (exit 1)
+on triangle-count changes, missing runs, wall-time regressions beyond
+--tolerance, or a changed exact work counter (both artifacts with
+telemetry). Builds without `--features telemetry` report all work
+counters as 0.
 
 serve with --data-dir persists registered graphs (snapshots plus a
 write-ahead manifest journal) and replays them on restart, quarantining
-any torn or corrupt file instead of refusing to start;
---snapshot-interval bounds how often the journal is compacted. serve
-recover replays a data directory offline and prints the recovery
-report as JSON without starting a daemon (--dry-run also skips
-quarantining and compaction).
-
-serve multiplexes connections over a small set of readiness event
-loops: --event-threads sizes the loop set (default: cores/4, max 4)
-and --max-conns caps concurrently open connections (default 4096,
-excess is refused with a structured Overloaded frame). loadgen drives
-all connections through one multiplexed event loop; --pipeline keeps P
-requests in flight per connection (default 1).
+any torn or corrupt file instead of refusing to start. serve recover
+replays a data directory offline and prints the recovery report as
+JSON without starting a daemon. serve multiplexes connections over a
+small set of readiness event loops and refuses connections past
+--max-conns with a structured Overloaded frame.
 
 cluster serve runs the fan-out coordinator (DESIGN.md §16): it fronts
-the shard daemons named by repeatable --shard flags (more can join at
-runtime via `lotus query <coordinator> join ADDR`), speaks the same
-LSRV protocol as serve, and answers Count/PerVertex by summing exact
-per-shard counts. --data-dir journals the shard map so a restarted
-coordinator reconverges; --deadline-ms caps fan-out when a request
-carries no deadline; --allow-partial degrades to a partial sum
-(marked uncached) instead of failing when a shard is down. cluster
-shard is serve plus an optional --coordinator ADDR to self-register
-after binding. query shard-stat aggregates shard occupancy; query
-join registers a shard endpoint with a coordinator. loadgen --cluster
-drives a coordinator with a shard-safe mix (no k-clique, which
-cluster mode rejects) and writes the BENCH artifact section under
-\"cluster\" instead of \"serve\".
+shard daemons, speaks the same LSRV protocol as serve, and answers
+Count/PerVertex by summing exact per-shard counts. More shards join at
+runtime via `lotus query <coordinator> join ADDR`, and query shard-stat
+aggregates their occupancy. loadgen --cluster leaves k-clique, which
+cluster mode rejects, out of the mix and writes the BENCH artifact
+section under \"cluster\" instead of \"serve\".
 
 analyze lint runs the project-rule source lint over the workspace
 (run from the repo root) against the checked-in waiver file; stale
@@ -100,6 +110,355 @@ fire. All three gates share `lotus check`'s exit-code contract:
 Exit codes: 0 success (including degraded runs), 1 runtime error or
 violations found, 2 usage error, 101 isolated worker panic,
 124 interrupted.";
+
+/// One row of a verb's table: a flag, or a positional when its
+/// spelling is `<name>`.
+struct Flag<T> {
+    /// Long spelling (`--port`), or `<name>` for a positional.
+    long: &'static str,
+    /// Short alias, e.g. `-p`.
+    short: Option<&'static str>,
+    /// Value name in usage; empty for a switch, which takes no value.
+    value: &'static str,
+    /// Value applied before parsing, if not empty.
+    default: &'static str,
+    /// One-line help in usage; for a positional, what a missing one is.
+    help: &'static str,
+    /// Applies the value (empty for a switch) to the verb's target.
+    set: fn(&mut T, &Val<'_>) -> Result<(), ParseError>,
+}
+
+impl<T> Flag<T> {
+    fn is_positional(&self) -> bool {
+        self.long.starts_with('<')
+    }
+
+    /// Applies `text`, given on the command line as `flag`.
+    fn apply(&self, target: &mut T, flag: &str, text: &str) -> Result<(), ParseError> {
+        let long = self.long;
+        (self.set)(target, &Val { flag, long, text })
+    }
+}
+
+/// Declares a verb's table, one row per flag or positional:
+/// `"--long" | "-s" ["VALUE" = "default"] "help" => |target, value| effect;`,
+/// where the alias, value and default are optional and a row without a
+/// value is a switch; a positional row reads `"<name>" "what"`.
+macro_rules! flags {
+    (@opt) => { None };
+    (@opt $x:literal) => { Some($x) };
+    (@or_empty) => { "" };
+    (@or_empty $x:literal) => { $x };
+    ($($long:literal $(| $short:literal)? $([$value:literal $(= $default:literal)?])?
+        $help:literal => |$t:ident, $v:tt| $set:expr;)*) => {
+        &[$(Flag {
+            long: $long,
+            short: flags!(@opt $($short)?),
+            value: flags!(@or_empty $($value)?),
+            default: flags!(@or_empty $($($default)?)?),
+            help: $help,
+            set: |$t, $v| {
+                $set;
+                Ok(())
+            },
+        }),*]
+    };
+}
+
+/// Declares a verb's argument struct together with its table: one row
+/// per field, `field: Type, <row as in flags!>`, whose help is the
+/// field's doc.
+macro_rules! args {
+    ($(#[$meta:meta])* $vis:vis struct $name:ident: $table:ident {$(
+        $field:ident: $ty:ty, $long:literal $(| $short:literal)? $([$($value:tt)*])?
+            $help:literal => |$t:ident, $v:tt| $set:expr;
+    )*}) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Default, PartialEq)]
+        $vis struct $name {$(
+            #[doc = $help]
+            $vis $field: $ty,
+        )*}
+
+        const $table: &[Flag<$name>] = flags! {$(
+            $long $(| $short)? $([$($value)*])? $help => |$t, $v| $set;
+        )*};
+    };
+}
+
+/// A flag's value as given, with the spelling it came under.
+struct Val<'a> {
+    /// The spelling on the command line (`-p` or `--port`).
+    flag: &'a str,
+    /// The row's long spelling, which range errors name.
+    long: &'static str,
+    text: &'a str,
+}
+
+impl Val<'_> {
+    fn num<N: FromStr>(&self) -> Result<N, ParseError> {
+        parse_num(self.flag, self.text)
+    }
+
+    fn at_least_one(&self) -> Result<usize, ParseError> {
+        match self.num()? {
+            0 => err(format!("{} must be at least 1", self.long)),
+            n => Ok(n),
+        }
+    }
+
+    fn non_negative(&self, what: &str) -> Result<f64, ParseError> {
+        match self.num()? {
+            x if f64::is_finite(x) && x >= 0.0 => Ok(x),
+            _ => err(format!("{} must be a non-negative {what}", self.long)),
+        }
+    }
+
+    fn one_of(&self, allowed: &[&str], what: &str) -> Result<String, ParseError> {
+        if allowed.contains(&self.text) {
+            Ok(self.text.into())
+        } else {
+            err(format!("unknown {what} '{}'", self.text))
+        }
+    }
+
+    fn budget(&self) -> Result<MemoryBudget, ParseError> {
+        MemoryBudget::parse(self.text).map_err(|e| ParseError(format!("{}: {e}", self.long)))
+    }
+
+    fn preload(&self) -> Result<(String, String), ParseError> {
+        match self.text.split_once('=') {
+            Some((name, spec)) if !name.is_empty() && !spec.is_empty() => {
+                Ok((name.into(), spec.into()))
+            }
+            _ => err(format!(
+                "{} expects NAME=SPEC, got '{}'",
+                self.long, self.text
+            )),
+        }
+    }
+
+    fn range(&self) -> Result<(u32, u32), ParseError> {
+        let (a, b) = self.text.split_once("..").ok_or_else(|| {
+            ParseError(format!("{} expects A..B, got '{}'", self.long, self.text))
+        })?;
+        let (start, end): (u32, u32) = (parse_num(self.long, a)?, parse_num(self.long, b)?);
+        if start > end {
+            return err(format!("{} start {start} exceeds end {end}", self.long));
+        }
+        Ok((start, end))
+    }
+}
+
+args! {
+    /// Arguments of `lotus count`.
+    pub struct CountArgs: COUNT {
+        input: String, "<graph>" "graph path" => |c, v| c.input = v.text.into();
+        algorithm: String, "--algorithm" | "-a" ["NAME" = "lotus"]
+            "lotus|forward|edge-iterator|gbbs|bbtc|adaptive" => |c, v| c.algorithm = v.text.into();
+        hubs: Option<u32>, "--hubs" ["N"] "fixed hub count (default: chosen from the graph)"
+            => |c, v| c.hubs = Some(v.num()?);
+        per_vertex: bool, "--per-vertex" "also print the 10 vertices in the most triangles"
+            => |c, _| c.per_vertex = true;
+        timeout: Option<f64>, "--timeout" ["SECS"] "interrupt the count after SECS (exit 124)"
+            => |c, v| c.timeout = Some(v.non_negative("number of seconds")?);
+        mem_budget: Option<MemoryBudget>, "--mem-budget" ["SIZE"] "shrink LOTUS to fit SIZE (2g)"
+            => |c, v| c.mem_budget = Some(v.budget()?);
+        strict: bool, "--strict" "reject malformed edge-list lines instead of warning"
+            => |c, _| c.strict = true;
+        threads: Option<usize>, "--threads" ["N"] "counting pool size (default: one per core)"
+            => |c, v| c.threads = Some(v.at_least_one()?);
+    }
+}
+
+args! {
+    /// Arguments of `lotus analyze [graph] <path>`.
+    pub struct AnalyzeGraphArgs: ANALYZE {
+        input: String, "<graph>" "graph path" => |c, v| c.input = v.text.into();
+        hub_fraction: f64, "--hub-fraction" ["F" = "0.01"] "hub share of the vertices, in (0, 1]"
+            => |c, v| c.hub_fraction = match v.num()? {
+                f if f > 0.0 && f <= 1.0 => f,
+                _ => return err("--hub-fraction must be in (0, 1]"),
+            };
+    }
+}
+
+args! {
+    /// Arguments of `lotus analyze lint`.
+    pub struct AnalyzeLintArgs: LINT {
+        waivers: Option<String>, "--waivers" | "-w" ["FILE"]
+            "waiver file (default analyzer-waivers.json)" => |c, v| c.waivers = Some(v.text.into());
+        json: Option<String>, "--json" | "-j" ["FILE"] "write the diagnostics as JSON"
+            => |c, v| c.json = Some(v.text.into());
+        deny_stale: bool, "--deny-stale" "fail on stale waivers too" => |c, _| c.deny_stale = true;
+    }
+}
+
+args! {
+    /// Arguments of `lotus analyze locks`.
+    pub struct AnalyzeLocksArgs: LOCKS {
+        waivers: Option<String>, "--waivers" | "-w" ["FILE"]
+            "waiver file (default analyzer-waivers.json)" => |c, v| c.waivers = Some(v.text.into());
+        json: Option<String>, "--json" | "-j" ["FILE"] "write the lock graph as JSON"
+            => |c, v| c.json = Some(v.text.into());
+    }
+}
+
+args! {
+    /// Arguments of `lotus analyze race`.
+    pub struct AnalyzeRaceArgs: RACE {
+        seeds: Vec<u64>, "--seeds" | "-s" ["A,B,C"] "schedule seeds (default: the fixed CI set)"
+            => |c, v| for part in v.text.split(',') {
+                c.seeds.push(parse_num(v.flag, part.trim())?);
+            };
+        json: Option<String>, "--json" | "-j" ["FILE"] "write the report as JSON"
+            => |c, v| c.json = Some(v.text.into());
+    }
+}
+
+args! {
+    /// Arguments of `lotus generate`.
+    pub struct GenerateArgs: GENERATE {
+        kind: String, "<rmat|ba|er|ws>" "kind (rmat|ba|er|ws)" => |c, v| c.kind = v.text.into();
+        scale: u32, "--scale" | "-s" ["S"] "log2 of the vertex count (required)"
+            => |c, v| c.scale = v.num()?;
+        edge_factor: u32, "--edge-factor" | "-e" ["F" = "16"] "edges per vertex"
+            => |c, v| c.edge_factor = v.num()?;
+        seed: u64, "--seed" ["X" = "42"] "generator seed" => |c, v| c.seed = v.num()?;
+        params: String, "--params" ["social|web|mild" = "social"] "R-MAT parameter preset"
+            => |c, v| c.params = v.one_of(&["social", "web", "mild"], "params preset")?;
+        output: String, "--output" | "-o" ["FILE"] "output path, binary if .lotg (required)"
+            => |c, v| c.output = v.text.into();
+    }
+}
+
+args! {
+    /// Arguments of `lotus convert`.
+    pub struct ConvertArgs: CONVERT {
+        input: String, "<input>" "input path" => |c, v| c.input = v.text.into();
+        output: String, "<output>" "output path" => |c, v| c.output = v.text.into();
+        strict: bool, "--strict" "reject malformed edge-list lines instead of warning"
+            => |c, _| c.strict = true;
+    }
+}
+
+args! {
+    /// Arguments of `lotus check`.
+    pub struct CheckArgs: CHECK {
+        input: String, "<graph>" "graph path" => |c, v| c.input = v.text.into();
+        hubs: Option<u32>, "--hubs" ["N"] "fixed hub count for the LOTUS structure checks"
+            => |c, v| c.hubs = Some(v.num()?);
+        differential: bool, "--differential" "also cross-check every algorithm's count"
+            => |c, _| c.differential = true;
+    }
+}
+
+args! {
+    /// Arguments of a `lotus bench` suite run.
+    pub struct BenchRunArgs: BENCH {
+        suite: String, "--suite" | "-s" ["ci|small|full" = "ci"] "suite to run"
+            => |c, v| c.suite = v.text.into();
+        json: Option<String>, "--json" | "-j" ["FILE"] "write the BENCH.json artifact"
+            => |c, v| c.json = Some(v.text.into());
+        threads: Option<usize>, "--threads" ["N"] "counting pool size (default: one per core)"
+            => |c, v| c.threads = Some(v.at_least_one()?);
+    }
+}
+
+args! {
+    /// Arguments of `lotus bench compare`.
+    pub struct BenchCompareArgs: COMPARE {
+        baseline: String, "<baseline.json>" "baseline path" => |c, v| c.baseline = v.text.into();
+        current: String, "<current.json>" "current path" => |c, v| c.current = v.text.into();
+        tolerance: f64, "--tolerance" | "-t" ["F" = "0.25"] "allowed wall-time growth (0.25 = +25%)"
+            => |c, v| c.tolerance = v.non_negative("fraction (0.25 = +25%)")?;
+    }
+}
+
+args! {
+    /// Arguments of `lotus serve recover`.
+    pub struct ServeRecoverArgs: RECOVER {
+        data_dir: String, "<data-dir>" "data directory" => |c, v| c.data_dir = v.text.into();
+        dry_run: bool, "--dry-run" "report only: quarantine and compact nothing"
+            => |c, _| c.dry_run = true;
+        json: Option<String>, "--json" | "-j" ["FILE"] "write the recovery report"
+            => |c, v| c.json = Some(v.text.into());
+    }
+}
+
+/// `cluster shard`'s flags: `--coordinator`, then every `serve` flag.
+const SHARD: &[Flag<ClusterShardArgs>] = flags! {
+    "--coordinator" ["ADDR"] "coordinator to join once listening"
+        => |c, v| c.coordinator = Some(v.text.into());
+    "--bind" | "-b" ["ADDR"] "address to bind (default 127.0.0.1)"
+        => |c, v| c.serve.bind = v.text.into();
+    "--port" | "-p" ["P"] "TCP port (default 0: an ephemeral port)"
+        => |c, v| c.serve.port = v.num()?;
+    "--workers" | "-w" ["N"] "worker threads (default: one per core)"
+        => |c, v| c.serve.workers = v.num()?;
+    "--queue" | "-q" ["N"] "admission queue slots (default: 4 x workers)"
+        => |c, v| c.serve.queue_capacity = v.num()?;
+    "--mem-budget" ["SIZE"] "graph registry budget (default 512m)"
+        => |c, v| c.serve.budget = v.budget()?;
+    "--preload" ["NAME=SPEC"] "build a graph before accepting (repeatable)"
+        => |c, v| c.serve.preload.push(v.preload()?);
+    "--data-dir" ["DIR"] "persist registered graphs in DIR"
+        => |c, v| c.serve.data_dir = Some(v.text.into());
+    "--snapshot-interval" ["SECS"] "compact the journal every SECS"
+        => |c, v| c.serve.snapshot_interval = Some(Duration::from_secs(v.num()?));
+    "--event-threads" ["N"] "event-loop threads (default: cores/4, max 4)"
+        => |c, v| c.serve.event_threads = v.num()?;
+    "--max-conns" ["N"] "open-connection cap (default 4096)" => |c, v| c.serve.max_conns = v.num()?;
+};
+
+/// `serve`'s flags: the shard table without `--coordinator`.
+const SERVE: &[Flag<ClusterShardArgs>] = SHARD.split_at(1).1;
+
+const CLUSTER: &[Flag<ClusterConfig>] = flags! {
+    "--bind" | "-b" ["ADDR"] "address to bind (default 127.0.0.1)" => |c, v| c.bind = v.text.into();
+    "--port" | "-p" ["P"] "TCP port (default 0: an ephemeral port)" => |c, v| c.port = v.num()?;
+    "--shard" ["ADDR"] "shard daemon to join at startup (repeatable)"
+        => |c, v| c.shards.push(v.text.into());
+    "--data-dir" ["DIR"] "journal the shard map in DIR" => |c, v| c.data_dir = Some(v.text.into());
+    "--deadline-ms" | "-d" ["MS"] "fan-out deadline of a request without one (default 10000)"
+        => |c, v| c.default_deadline = Duration::from_millis(v.num()?);
+    "--allow-partial" "answer a partial sum when a shard is down" => |c, _| c.allow_partial = true;
+    "--retry-seed" ["S"] "seed of the shard-dial retry backoff" => |c, v| c.retry_seed = v.num()?;
+};
+
+args! {
+    /// `query`'s target: address, action, deadline and vertex range of
+    /// the request it builds; the action's own arguments follow it.
+    struct QueryArgv: QUERY {
+        addr: String, "<addr>" "daemon address" => |q, v| q.addr = v.text.into();
+        action: String, "<action>" "action" => |q, v| q.action = v.text.into();
+        deadline_ms: u64, "--deadline-ms" | "-d" ["MS"] "deadline of count, per-vertex and kclique"
+            => |q, v| q.deadline_ms = v.num()?;
+        range: Option<(u32, u32)>, "--range" | "-r" ["A..B"] "vertex span of per-vertex"
+            => |q, v| q.range = Some(v.range()?);
+    }
+}
+
+const LOADGEN: &[Flag<LoadgenArgs>] = flags! {
+    "<addr>" "daemon address" => |c, v| c.config.addr = v.text.into();
+    "--suite" | "-s" ["ci"] "named preset, recorded in the artifact"
+        => |c, v| c.suite = v.one_of(&["ci"], "loadgen suite")?;
+    "--connections" | "-c" ["N"] "concurrent connections (default 4)"
+        => |c, v| c.config.connections = v.num::<usize>()?.max(1);
+    "--requests" | "-n" ["M"] "requests per connection (default 50)"
+        => |c, v| c.config.requests = v.num()?;
+    "--seed" ["S"] "request-mix and retry seed (default 42)" => |c, v| c.config.seed = v.num()?;
+    "--graph" | "-g" ["SPEC"] "graph the run loads and queries (default rmat:9:8:7)"
+        => |c, v| c.config.graph = v.text.into();
+    "--deadline-ms" | "-d" ["MS"] "deadline of every counting request"
+        => |c, v| c.config.deadline_ms = v.num()?;
+    "--json" | "-j" ["FILE"] "write the BENCH-schema artifact"
+        => |c, v| c.json = Some(v.text.into());
+    "--pipeline" ["P"] "requests in flight per connection (default 1)"
+        => |c, v| c.config.pipeline = v.at_least_one()?;
+    "--cluster" "target is a coordinator: shard-safe mix, cluster section"
+        => |c, _| c.config.cluster = true;
+};
 
 /// A parsed subcommand.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,176 +476,22 @@ pub enum Command {
     /// `lotus bench` (suite run or `compare`).
     Bench(BenchArgs),
     /// `lotus serve`.
-    Serve(ServeCliArgs),
+    Serve(ServeConfig),
     /// `lotus serve recover`: offline durability-state inspection.
     ServeRecover(ServeRecoverArgs),
     /// `lotus cluster serve`: the fan-out coordinator daemon.
-    ClusterServe(ClusterServeArgs),
+    ClusterServe(ClusterConfig),
     /// `lotus cluster shard`: a shard daemon, optionally self-registering.
     ClusterShard(ClusterShardArgs),
     /// `lotus query`.
     Query(QueryArgs),
     /// `lotus loadgen`.
-    Loadgen(LoadgenCliArgs),
+    Loadgen(LoadgenArgs),
     /// `lotus help`.
     Help,
 }
 
-/// Arguments of `lotus serve`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeCliArgs {
-    /// Bind address (default `127.0.0.1`).
-    pub bind: String,
-    /// TCP port; 0 picks an ephemeral port.
-    pub port: u16,
-    /// Worker threads; 0 means one per core.
-    pub workers: usize,
-    /// Queue capacity; 0 means 4x workers.
-    pub queue: usize,
-    /// Registry memory budget (default 512m).
-    pub mem_budget: Option<MemoryBudget>,
-    /// Graphs to build before accepting connections (`--preload NAME=SPEC`).
-    pub preload: Vec<(String, String)>,
-    /// Durability directory (`--data-dir`); `None` = in-memory only.
-    pub data_dir: Option<String>,
-    /// Seconds between journal checkpoints (`--snapshot-interval`);
-    /// `None` = checkpoint only at shutdown.
-    pub snapshot_interval_secs: Option<u64>,
-    /// Event-loop threads (`--event-threads`); 0 means cores/4 (max 4).
-    pub event_threads: usize,
-    /// Open-connection cap (`--max-conns`); 0 means 4096.
-    pub max_conns: usize,
-}
-
-/// Arguments of `lotus cluster serve`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterServeArgs {
-    /// Bind address (default `127.0.0.1`).
-    pub bind: String,
-    /// TCP port; 0 picks an ephemeral port.
-    pub port: u16,
-    /// Shard daemon endpoints to join at startup (`--shard ADDR`, repeatable).
-    pub shards: Vec<String>,
-    /// Shard-map journal directory (`--data-dir`); `None` = in-memory only.
-    pub data_dir: Option<String>,
-    /// Fan-out deadline for requests that carry none (`--deadline-ms`).
-    pub deadline_ms: Option<u64>,
-    /// Degrade to partial sums instead of failing when a shard is down.
-    pub allow_partial: bool,
-    /// Seed for the shard-dial retry backoff (`--retry-seed`).
-    pub retry_seed: Option<u64>,
-}
-
-/// Arguments of `lotus cluster shard`: a full serve daemon plus an
-/// optional coordinator to self-register with once bound.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterShardArgs {
-    /// The underlying daemon configuration (same flags as `lotus serve`).
-    pub serve: ServeCliArgs,
-    /// Coordinator address to send `ShardJoin` to (`--coordinator`).
-    pub coordinator: Option<String>,
-}
-
-/// Arguments of `lotus serve recover`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeRecoverArgs {
-    /// The daemon data directory to replay.
-    pub data_dir: String,
-    /// Report only: quarantine nothing, compact nothing.
-    pub dry_run: bool,
-    /// Where to write the recovery report JSON, if anywhere.
-    pub json: Option<String>,
-}
-
-/// Arguments of `lotus query`: target address plus the one request it
-/// sends, with `--deadline-ms` and `--range` already applied.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueryArgs {
-    /// Daemon address (`host:port`).
-    pub addr: String,
-    /// What to ask the daemon.
-    pub request: Request,
-}
-
-/// Arguments of `lotus loadgen`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoadgenCliArgs {
-    /// Daemon address (`host:port`).
-    pub addr: String,
-    /// Named suite preset (`ci`), if any.
-    pub suite: Option<String>,
-    /// Concurrent connections (default 4).
-    pub connections: Option<usize>,
-    /// Requests per connection (default 50).
-    pub requests: Option<usize>,
-    /// Mix seed (default 42).
-    pub seed: Option<u64>,
-    /// Graph spec the run warms and queries (default `rmat:9:8:7`).
-    pub graph: Option<String>,
-    /// Per-request deadline in milliseconds, if any.
-    pub deadline_ms: Option<u64>,
-    /// Where to write the BENCH-schema `serve` artifact, if anywhere.
-    pub json: Option<String>,
-    /// In-flight requests per connection (`--pipeline`, default 1).
-    pub pipeline: Option<usize>,
-    /// Target is a cluster coordinator (`--cluster`): use the
-    /// shard-safe request mix and write the `cluster` artifact section.
-    pub cluster: bool,
-}
-
-/// Arguments of `lotus bench`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BenchArgs {
-    /// Run a named suite, optionally writing `BENCH.json`.
-    Run(BenchRunArgs),
-    /// Diff two `BENCH.json` artifacts and gate on regressions.
-    Compare(BenchCompareArgs),
-}
-
-/// Arguments of a `lotus bench` suite run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchRunArgs {
-    /// Suite name (`ci`, `small`, `full`).
-    pub suite: String,
-    /// Where to write the `BENCH.json` artifact, if anywhere.
-    pub json: Option<String>,
-    /// Thread-pool size override (`--threads`); `None` = one per core.
-    pub threads: Option<usize>,
-}
-
-/// Arguments of `lotus bench compare`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchCompareArgs {
-    /// Baseline artifact path.
-    pub baseline: String,
-    /// Current artifact path.
-    pub current: String,
-    /// Fractional wall-time tolerance (0.25 = +25%).
-    pub tolerance: f64,
-}
-
-/// Arguments of `lotus count`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CountArgs {
-    /// Input graph path.
-    pub input: String,
-    /// Algorithm name (default `lotus`).
-    pub algorithm: String,
-    /// Optional fixed hub count.
-    pub hubs: Option<u32>,
-    /// Also print the 10 vertices with most triangles.
-    pub per_vertex: bool,
-    /// Cooperative deadline in seconds (`--timeout`).
-    pub timeout: Option<f64>,
-    /// Memory budget for the counting structures (`--mem-budget`).
-    pub mem_budget: Option<MemoryBudget>,
-    /// Reject (rather than warn about) malformed edge-list lines.
-    pub strict: bool,
-    /// Thread-pool size override (`--threads`); `None` = one per core.
-    pub threads: Option<usize>,
-}
-
-/// Arguments of `lotus analyze`: a graph analysis or one of the two
+/// Arguments of `lotus analyze`: a graph analysis or one of the
 /// static-analysis gates.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AnalyzeArgs {
@@ -300,81 +505,45 @@ pub enum AnalyzeArgs {
     Locks(AnalyzeLocksArgs),
 }
 
-/// Arguments of `lotus analyze [graph] <path>`.
+/// Arguments of `lotus bench`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AnalyzeGraphArgs {
-    /// Input graph path.
-    pub input: String,
-    /// Hub fraction for the §3 analysis (default 0.01).
-    pub hub_fraction: f64,
+pub enum BenchArgs {
+    /// Run a named suite, optionally writing `BENCH.json`.
+    Run(BenchRunArgs),
+    /// Diff two `BENCH.json` artifacts and gate on regressions.
+    Compare(BenchCompareArgs),
 }
 
-/// Arguments of `lotus analyze lint`.
+/// Arguments of `lotus cluster shard`: a full serve daemon plus an
+/// optional coordinator to self-register with once bound.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ClusterShardArgs {
+    /// The underlying daemon configuration (same flags as `lotus serve`).
+    pub serve: ServeConfig,
+    /// Coordinator address to send `ShardJoin` to (`--coordinator`).
+    pub coordinator: Option<String>,
+}
+
+/// Arguments of `lotus query`: target address plus the one request it
+/// sends, with `--deadline-ms` and `--range` already applied.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AnalyzeLintArgs {
-    /// Waiver file path (default `analyzer-waivers.json`).
-    pub waivers: Option<String>,
-    /// Where to write the JSON diagnostics artifact, if anywhere.
+pub struct QueryArgs {
+    /// Daemon address (`host:port`).
+    pub addr: String,
+    /// What to ask the daemon.
+    pub request: Request,
+}
+
+/// Arguments of `lotus loadgen`: the run, plus how its artifact is
+/// labelled and where it goes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LoadgenArgs {
+    /// The run: the `ci` preset with the given flags applied.
+    pub config: LoadgenConfig,
+    /// Suite name the artifact records (`ci`, or `custom` by default).
+    pub suite: String,
+    /// Where to write the BENCH-schema `serve` artifact, if anywhere.
     pub json: Option<String>,
-    /// Fail (exit 1) on stale waivers instead of just reporting them.
-    pub deny_stale: bool,
-}
-
-/// Arguments of `lotus analyze locks`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnalyzeLocksArgs {
-    /// Waiver file path (default `analyzer-waivers.json`).
-    pub waivers: Option<String>,
-    /// Where to write the JSON lock-graph artifact, if anywhere.
-    pub json: Option<String>,
-}
-
-/// Arguments of `lotus analyze race`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnalyzeRaceArgs {
-    /// Schedule seeds (`--seeds 7,42,3` — empty means the fixed CI set).
-    pub seeds: Vec<u64>,
-    /// Where to write the JSON report artifact, if anywhere.
-    pub json: Option<String>,
-}
-
-/// Arguments of `lotus generate`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GenerateArgs {
-    /// Generator kind: `rmat`, `ba`, `er`, `ws`.
-    pub kind: String,
-    /// log2 vertex count.
-    pub scale: u32,
-    /// Edges per vertex (default 16).
-    pub edge_factor: u32,
-    /// Seed (default 42).
-    pub seed: u64,
-    /// R-MAT parameter preset.
-    pub params: String,
-    /// Output path.
-    pub output: String,
-}
-
-/// Arguments of `lotus convert`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConvertArgs {
-    /// Input path.
-    pub input: String,
-    /// Output path.
-    pub output: String,
-    /// Reject (rather than warn about) malformed edge-list lines.
-    pub strict: bool,
-}
-
-/// Arguments of `lotus check`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CheckArgs {
-    /// Input graph path.
-    pub input: String,
-    /// Optional fixed hub count for the LOTUS structure checks.
-    pub hubs: Option<u32>,
-    /// Also run the full differential oracle (every algorithm).
-    pub differential: bool,
 }
 
 /// Parse failure with a user-facing message.
@@ -383,31 +552,78 @@ pub struct ParseError(pub String);
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}\n\n{USAGE}", self.0)
+        write!(f, "{}\n\n{}", self.0, usage())
     }
 }
 
-fn take_value<'a>(
-    flag: &str,
-    it: &mut impl Iterator<Item = &'a str>,
-) -> Result<String, ParseError> {
-    it.next()
-        .map(str::to_string)
-        .ok_or_else(|| ParseError(format!("{flag} requires a value")))
-}
-
-fn parse_num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, ParseError> {
+fn parse_num<T: FromStr>(flag: &str, value: &str) -> Result<T, ParseError> {
     value
         .parse()
         .map_err(|_| ParseError(format!("invalid value '{value}' for {flag}")))
 }
 
-fn parse_threads<'a>(it: &mut impl Iterator<Item = &'a str>) -> Result<usize, ParseError> {
-    let n: usize = parse_num("--threads", &take_value("--threads", it)?)?;
-    if n == 0 {
-        return Err(ParseError("--threads must be at least 1".into()));
+fn err<T>(message: impl Into<String>) -> Result<T, ParseError> {
+    Err(ParseError(message.into()))
+}
+
+fn unexpected<T>(arg: &str) -> Result<T, ParseError> {
+    err(format!("unexpected argument '{arg}'"))
+}
+
+/// What [`read`] leaves: words past the declared positionals, and the
+/// long spelling of every flag given.
+#[derive(Default)]
+struct Rest<'a> {
+    words: Vec<&'a str>,
+    seen: Vec<&'static str>,
+}
+
+/// Parses `argv` against one verb's rows, applying the defaults and then
+/// each row given to `target`. Names `verb` when a positional is missing.
+fn read<'a, T>(
+    verb: &str,
+    target: &mut T,
+    rows: &[Flag<T>],
+    argv: &[&'a str],
+) -> Result<Rest<'a>, ParseError> {
+    for row in rows.iter().filter(|r| !r.default.is_empty()) {
+        row.apply(target, row.long, row.default)?;
     }
-    Ok(n)
+    let mut positionals = rows.iter().filter(|r| r.is_positional());
+    let mut rest = Rest::default();
+    let mut it = argv.iter().copied();
+    while let Some(arg) = it.next() {
+        let flag = rows
+            .iter()
+            .find(|r| !r.is_positional() && (r.long == arg || r.short == Some(arg)));
+        match flag {
+            Some(row) if row.value.is_empty() => row.apply(target, arg, "")?,
+            Some(row) => {
+                let text = it.next();
+                let text = text.ok_or_else(|| ParseError(format!("{arg} requires a value")))?;
+                row.apply(target, arg, text)?;
+            }
+            None if arg.starts_with('-') => return unexpected(arg),
+            None => match positionals.next() {
+                Some(row) => row.apply(target, arg, arg)?,
+                None => rest.words.push(arg),
+            },
+        }
+        rest.seen.extend(flag.map(|row| row.long));
+    }
+    match positionals.next() {
+        Some(missing) => err(format!("{verb}: missing {}", missing.help)),
+        None => Ok(rest),
+    }
+}
+
+/// Parses a verb that takes nothing past its table.
+fn only<T: Default>(verb: &str, rows: &[Flag<T>], argv: &[&str]) -> Result<T, ParseError> {
+    let mut target = T::default();
+    match read(verb, &mut target, rows, argv)?.words.first() {
+        Some(extra) => unexpected(extra),
+        None => Ok(target),
+    }
 }
 
 /// Parses an argument vector (without the program name).
@@ -416,432 +632,78 @@ fn parse_threads<'a>(it: &mut impl Iterator<Item = &'a str>) -> Result<usize, Pa
 /// Returns a [`ParseError`] naming the first unknown command, unknown
 /// flag, or invalid value.
 pub fn parse(argv: &[&str]) -> Result<Command, ParseError> {
-    let mut it = argv.iter().copied();
-    let sub = it
-        .next()
+    let (&verb, rest) = argv
+        .split_first()
         .ok_or_else(|| ParseError("missing subcommand".into()))?;
-    match sub {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "count" => {
-            let mut input = None;
-            let mut algorithm = "lotus".to_string();
-            let mut hubs = None;
-            let mut per_vertex = false;
-            let mut timeout = None;
-            let mut mem_budget = None;
-            let mut strict = false;
-            let mut threads = None;
-            while let Some(arg) = it.next() {
-                match arg {
-                    "--algorithm" | "-a" => algorithm = take_value(arg, &mut it)?,
-                    "--threads" => threads = Some(parse_threads(&mut it)?),
-                    "--hubs" => hubs = Some(parse_num(arg, &take_value(arg, &mut it)?)?),
-                    "--per-vertex" => per_vertex = true,
-                    "--timeout" => {
-                        let secs: f64 = parse_num(arg, &take_value(arg, &mut it)?)?;
-                        if !(secs.is_finite() && secs >= 0.0) {
-                            return Err(ParseError(
-                                "--timeout must be a non-negative number of seconds".into(),
-                            ));
-                        }
-                        timeout = Some(secs);
-                    }
-                    "--mem-budget" => {
-                        let value = take_value(arg, &mut it)?;
-                        mem_budget = Some(
-                            MemoryBudget::parse(&value)
-                                .map_err(|e| ParseError(format!("--mem-budget: {e}")))?,
-                        );
-                    }
-                    "--strict" => strict = true,
-                    _ if input.is_none() && !arg.starts_with('-') => {
-                        input = Some(arg.to_string());
-                    }
-                    _ => return Err(ParseError(format!("unexpected argument '{arg}'"))),
-                }
-            }
-            let input = input.ok_or_else(|| ParseError("count: missing graph path".into()))?;
-            Ok(Command::Count(CountArgs {
-                input,
-                algorithm,
-                hubs,
-                per_vertex,
-                timeout,
-                mem_budget,
-                strict,
-                threads,
-            }))
+    let sub = rest.first().copied();
+    let tail = rest.get(1..).unwrap_or_default();
+    Ok(match (verb, sub) {
+        ("help" | "--help" | "-h", _) => Command::Help,
+        ("count", _) => Command::Count(only(verb, COUNT, rest)?),
+        ("analyze", Some("lint")) => Command::Analyze(AnalyzeArgs::Lint(only(verb, LINT, tail)?)),
+        ("analyze", Some("locks")) => {
+            Command::Analyze(AnalyzeArgs::Locks(only(verb, LOCKS, tail)?))
         }
-        "analyze" => {
-            let rest: Vec<&str> = it.collect();
-            match rest.first().copied() {
-                Some("lint") => {
-                    let mut waivers = None;
-                    let mut json = None;
-                    let mut deny_stale = false;
-                    let mut it = rest[1..].iter().copied();
-                    while let Some(arg) = it.next() {
-                        match arg {
-                            "--waivers" | "-w" => waivers = Some(take_value(arg, &mut it)?),
-                            "--json" | "-j" => json = Some(take_value(arg, &mut it)?),
-                            "--deny-stale" => deny_stale = true,
-                            _ => return Err(ParseError(format!("unexpected argument '{arg}'"))),
-                        }
-                    }
-                    Ok(Command::Analyze(AnalyzeArgs::Lint(AnalyzeLintArgs {
-                        waivers,
-                        json,
-                        deny_stale,
-                    })))
-                }
-                Some("locks") => {
-                    let mut waivers = None;
-                    let mut json = None;
-                    let mut it = rest[1..].iter().copied();
-                    while let Some(arg) = it.next() {
-                        match arg {
-                            "--waivers" | "-w" => waivers = Some(take_value(arg, &mut it)?),
-                            "--json" | "-j" => json = Some(take_value(arg, &mut it)?),
-                            _ => return Err(ParseError(format!("unexpected argument '{arg}'"))),
-                        }
-                    }
-                    Ok(Command::Analyze(AnalyzeArgs::Locks(AnalyzeLocksArgs {
-                        waivers,
-                        json,
-                    })))
-                }
-                Some("race") => {
-                    let mut seeds = Vec::new();
-                    let mut json = None;
-                    let mut it = rest[1..].iter().copied();
-                    while let Some(arg) = it.next() {
-                        match arg {
-                            "--seeds" | "-s" => {
-                                let value = take_value(arg, &mut it)?;
-                                for part in value.split(',') {
-                                    seeds.push(parse_num(arg, part.trim())?);
-                                }
-                            }
-                            "--json" | "-j" => json = Some(take_value(arg, &mut it)?),
-                            _ => return Err(ParseError(format!("unexpected argument '{arg}'"))),
-                        }
-                    }
-                    Ok(Command::Analyze(AnalyzeArgs::Race(AnalyzeRaceArgs {
-                        seeds,
-                        json,
-                    })))
-                }
-                _ => {
-                    // Bare `analyze <path>` keeps working; `analyze graph
-                    // <path>` is the explicit spelling.
-                    let args = if rest.first() == Some(&"graph") {
-                        &rest[1..]
-                    } else {
-                        &rest[..]
-                    };
-                    let mut input = None;
-                    let mut hub_fraction = 0.01f64;
-                    let mut it = args.iter().copied();
-                    while let Some(arg) = it.next() {
-                        match arg {
-                            "--hub-fraction" => {
-                                hub_fraction = parse_num(arg, &take_value(arg, &mut it)?)?;
-                            }
-                            _ if input.is_none() && !arg.starts_with('-') => {
-                                input = Some(arg.to_string());
-                            }
-                            _ => return Err(ParseError(format!("unexpected argument '{arg}'"))),
-                        }
-                    }
-                    let input =
-                        input.ok_or_else(|| ParseError("analyze: missing graph path".into()))?;
-                    if !(hub_fraction > 0.0 && hub_fraction <= 1.0) {
-                        return Err(ParseError("--hub-fraction must be in (0, 1]".into()));
-                    }
-                    Ok(Command::Analyze(AnalyzeArgs::Graph(AnalyzeGraphArgs {
-                        input,
-                        hub_fraction,
-                    })))
-                }
-            }
+        ("analyze", Some("race")) => Command::Analyze(AnalyzeArgs::Race(only(verb, RACE, tail)?)),
+        // Bare `analyze <path>` keeps working; `analyze graph <path>` is
+        // the explicit spelling.
+        ("analyze", Some("graph")) => {
+            Command::Analyze(AnalyzeArgs::Graph(only(verb, ANALYZE, tail)?))
         }
-        "generate" => {
-            let kind = it
-                .next()
-                .ok_or_else(|| ParseError("generate: missing kind (rmat|ba|er|ws)".into()))?
-                .to_string();
-            let mut scale = None;
-            let mut edge_factor = 16u32;
-            let mut seed = 42u64;
-            let mut params = "social".to_string();
-            let mut output = None;
-            while let Some(arg) = it.next() {
-                match arg {
-                    "--scale" | "-s" => {
-                        scale = Some(parse_num(arg, &take_value(arg, &mut it)?)?);
-                    }
-                    "--edge-factor" | "-e" => {
-                        edge_factor = parse_num(arg, &take_value(arg, &mut it)?)?;
-                    }
-                    "--seed" => seed = parse_num(arg, &take_value(arg, &mut it)?)?,
-                    "--params" => params = take_value(arg, &mut it)?,
-                    "-o" | "--output" => output = Some(take_value(arg, &mut it)?),
-                    _ => return Err(ParseError(format!("unexpected argument '{arg}'"))),
-                }
+        ("analyze", _) => Command::Analyze(AnalyzeArgs::Graph(only(verb, ANALYZE, rest)?)),
+        ("generate", _) => {
+            let mut a = GenerateArgs::default();
+            let rest = read(verb, &mut a, GENERATE, rest)?;
+            if let Some(extra) = rest.words.first() {
+                return unexpected(extra);
             }
-            let scale = scale.ok_or_else(|| ParseError("generate: --scale required".into()))?;
-            let output = output.ok_or_else(|| ParseError("generate: -o <file> required".into()))?;
-            if !["rmat", "ba", "er", "ws"].contains(&kind.as_str()) {
-                return Err(ParseError(format!("unknown generator '{kind}'")));
+            if !rest.seen.contains(&"--scale") {
+                return err("generate: --scale required");
             }
-            if !["social", "web", "mild"].contains(&params.as_str()) {
-                return Err(ParseError(format!("unknown params preset '{params}'")));
+            if !rest.seen.contains(&"--output") {
+                return err("generate: -o <file> required");
             }
-            Ok(Command::Generate(GenerateArgs {
-                kind,
-                scale,
-                edge_factor,
-                seed,
-                params,
-                output,
-            }))
-        }
-        "check" => {
-            let mut input = None;
-            let mut hubs = None;
-            let mut differential = false;
-            while let Some(arg) = it.next() {
-                match arg {
-                    "--hubs" => hubs = Some(parse_num(arg, &take_value(arg, &mut it)?)?),
-                    "--differential" => differential = true,
-                    _ if input.is_none() && !arg.starts_with('-') => {
-                        input = Some(arg.to_string());
-                    }
-                    _ => return Err(ParseError(format!("unexpected argument '{arg}'"))),
-                }
-            }
-            let input = input.ok_or_else(|| ParseError("check: missing graph path".into()))?;
-            Ok(Command::Check(CheckArgs {
-                input,
-                hubs,
-                differential,
-            }))
-        }
-        "bench" => {
-            let rest: Vec<&str> = it.collect();
-            if rest.first() == Some(&"compare") {
-                let mut tolerance = 0.25f64;
-                let mut paths = Vec::new();
-                let mut it = rest[1..].iter().copied();
-                while let Some(arg) = it.next() {
-                    match arg {
-                        "--tolerance" | "-t" => {
-                            tolerance = parse_num(arg, &take_value(arg, &mut it)?)?;
-                            if !(tolerance.is_finite() && tolerance >= 0.0) {
-                                return Err(ParseError(
-                                    "--tolerance must be a non-negative fraction (0.25 = +25%)"
-                                        .into(),
-                                ));
-                            }
-                        }
-                        _ if !arg.starts_with('-') => paths.push(arg.to_string()),
-                        _ => return Err(ParseError(format!("unexpected argument '{arg}'"))),
-                    }
-                }
-                let mut paths = paths.into_iter();
-                let baseline = paths
-                    .next()
-                    .ok_or_else(|| ParseError("bench compare: missing baseline path".into()))?;
-                let current = paths
-                    .next()
-                    .ok_or_else(|| ParseError("bench compare: missing current path".into()))?;
-                if let Some(extra) = paths.next() {
-                    return Err(ParseError(format!("unexpected argument '{extra}'")));
-                }
-                Ok(Command::Bench(BenchArgs::Compare(BenchCompareArgs {
-                    baseline,
-                    current,
-                    tolerance,
-                })))
-            } else {
-                let mut suite = "ci".to_string();
-                let mut json = None;
-                let mut threads = None;
-                let mut it = rest.iter().copied();
-                while let Some(arg) = it.next() {
-                    match arg {
-                        "--suite" | "-s" => suite = take_value(arg, &mut it)?,
-                        "--json" | "-j" => json = Some(take_value(arg, &mut it)?),
-                        "--threads" => threads = Some(parse_threads(&mut it)?),
-                        _ => return Err(ParseError(format!("unexpected argument '{arg}'"))),
-                    }
-                }
-                Ok(Command::Bench(BenchArgs::Run(BenchRunArgs {
-                    suite,
-                    json,
-                    threads,
-                })))
-            }
-        }
-        "convert" => {
-            let mut positional = Vec::new();
-            let mut strict = false;
-            for arg in it {
-                match arg {
-                    "--strict" => strict = true,
-                    _ if !arg.starts_with('-') => positional.push(arg.to_string()),
-                    _ => return Err(ParseError(format!("unexpected argument '{arg}'"))),
-                }
-            }
-            let mut positional = positional.into_iter();
-            let input = positional
-                .next()
-                .ok_or_else(|| ParseError("convert: missing input path".into()))?;
-            let output = positional
-                .next()
-                .ok_or_else(|| ParseError("convert: missing output path".into()))?;
-            if let Some(extra) = positional.next() {
-                return Err(ParseError(format!("unexpected argument '{extra}'")));
-            }
-            Ok(Command::Convert(ConvertArgs {
-                input,
-                output,
-                strict,
-            }))
-        }
-        "serve" => {
-            let rest: Vec<&str> = it.collect();
-            // `serve recover` is its own verb (offline replay); every
-            // other positional under `serve` stays an error.
-            if rest.first().copied() == Some("recover") {
-                let mut data_dir = None;
-                let mut dry_run = false;
-                let mut json = None;
-                let mut it = rest[1..].iter().copied();
-                while let Some(arg) = it.next() {
-                    match arg {
-                        "--dry-run" => dry_run = true,
-                        "--json" | "-j" => json = Some(take_value(arg, &mut it)?),
-                        _ if data_dir.is_none() && !arg.starts_with('-') => {
-                            data_dir = Some(arg.to_string());
-                        }
-                        _ => return Err(ParseError(format!("unexpected argument '{arg}'"))),
-                    }
-                }
-                let data_dir = data_dir
-                    .ok_or_else(|| ParseError("serve recover: missing data directory".into()))?;
-                return Ok(Command::ServeRecover(ServeRecoverArgs {
-                    data_dir,
-                    dry_run,
-                    json,
-                }));
-            }
-            let mut bind = "127.0.0.1".to_string();
-            let mut port = 0u16;
-            let mut workers = 0usize;
-            let mut queue = 0usize;
-            let mut mem_budget = None;
-            let mut preload = Vec::new();
-            let mut data_dir = None;
-            let mut snapshot_interval_secs = None;
-            let mut event_threads = 0usize;
-            let mut max_conns = 0usize;
-            let mut it = rest.iter().copied();
-            while let Some(arg) = it.next() {
-                match arg {
-                    "--bind" | "-b" => bind = take_value(arg, &mut it)?,
-                    "--event-threads" => {
-                        event_threads = parse_num(arg, &take_value(arg, &mut it)?)?;
-                    }
-                    "--max-conns" => max_conns = parse_num(arg, &take_value(arg, &mut it)?)?,
-                    "--port" | "-p" => port = parse_num(arg, &take_value(arg, &mut it)?)?,
-                    "--workers" | "-w" => workers = parse_num(arg, &take_value(arg, &mut it)?)?,
-                    "--queue" | "-q" => queue = parse_num(arg, &take_value(arg, &mut it)?)?,
-                    "--mem-budget" => {
-                        let value = take_value(arg, &mut it)?;
-                        mem_budget = Some(
-                            MemoryBudget::parse(&value)
-                                .map_err(|e| ParseError(format!("--mem-budget: {e}")))?,
-                        );
-                    }
-                    "--preload" => {
-                        let value = take_value(arg, &mut it)?;
-                        let (name, spec) = value.split_once('=').ok_or_else(|| {
-                            ParseError(format!("--preload expects NAME=SPEC, got '{value}'"))
-                        })?;
-                        if name.is_empty() || spec.is_empty() {
-                            return Err(ParseError(format!(
-                                "--preload expects NAME=SPEC, got '{value}'"
-                            )));
-                        }
-                        preload.push((name.to_string(), spec.to_string()));
-                    }
-                    "--data-dir" => data_dir = Some(take_value(arg, &mut it)?),
-                    "--snapshot-interval" => {
-                        snapshot_interval_secs = Some(parse_num(arg, &take_value(arg, &mut it)?)?);
-                    }
-                    _ => return Err(ParseError(format!("unexpected argument '{arg}'"))),
-                }
-            }
-            Ok(Command::Serve(ServeCliArgs {
-                bind,
-                port,
-                workers,
-                queue,
-                mem_budget,
-                preload,
-                data_dir,
-                snapshot_interval_secs,
-                event_threads,
-                max_conns,
-            }))
-        }
-        "query" => {
-            let mut deadline_ms = None;
-            let mut positional = Vec::new();
-            while let Some(arg) = it.next() {
-                match arg {
-                    "--deadline-ms" | "-d" => {
-                        deadline_ms = Some(parse_num(arg, &take_value(arg, &mut it)?)?);
-                    }
-                    "--range" | "-r" => positional.push(("--range", take_value(arg, &mut it)?)),
-                    _ if !arg.starts_with('-') => positional.push(("", arg.to_string())),
-                    _ => return Err(ParseError(format!("unexpected argument '{arg}'"))),
-                }
-            }
-            let mut range = None;
-            let mut words = Vec::new();
-            for (flag, value) in positional {
-                if flag == "--range" {
-                    let (a, b) = value.split_once("..").ok_or_else(|| {
-                        ParseError(format!("--range expects A..B, got '{value}'"))
-                    })?;
-                    let start: u32 = parse_num("--range", a)?;
-                    let end: u32 = parse_num("--range", b)?;
-                    if start > end {
-                        return Err(ParseError(format!(
-                            "--range start {start} exceeds end {end}"
-                        )));
-                    }
-                    range = Some((start, end));
-                } else {
-                    words.push(value);
-                }
-            }
-            let mut words = words.into_iter();
-            let addr = words
-                .next()
-                .ok_or_else(|| ParseError("query: missing daemon address".into()))?;
-            let verb = words
-                .next()
-                .ok_or_else(|| ParseError("query: missing action".into()))?;
-            let mut need = |what: &str| {
-                words
-                    .next()
-                    .ok_or_else(|| ParseError(format!("query {verb}: missing {what}")))
+            // The generators panic below their smallest graph, and a scale
+            // past 31 overflows the u32 vertex ids.
+            let min_scale = match a.kind.as_str() {
+                "rmat" => 0,
+                "ba" | "er" => 1,
+                "ws" => 2,
+                other => return err(format!("unknown generator '{other}'")),
             };
-            let deadline_ms = deadline_ms.unwrap_or(NO_DEADLINE);
-            let request = match verb.as_str() {
+            if !(min_scale..=31).contains(&a.scale) {
+                return err(format!(
+                    "generate {}: --scale must be between {min_scale} and 31",
+                    a.kind
+                ));
+            }
+            Command::Generate(a)
+        }
+        ("convert", _) => Command::Convert(only(verb, CONVERT, rest)?),
+        ("check", _) => Command::Check(only(verb, CHECK, rest)?),
+        ("bench", Some("compare")) => {
+            Command::Bench(BenchArgs::Compare(only("bench compare", COMPARE, tail)?))
+        }
+        ("bench", _) => Command::Bench(BenchArgs::Run(only(verb, BENCH, rest)?)),
+        ("serve", Some("recover")) => Command::ServeRecover(only("serve recover", RECOVER, tail)?),
+        ("serve", _) => Command::Serve(only::<ClusterShardArgs>(verb, SERVE, rest)?.serve),
+        ("query", _) => {
+            let mut q = QueryArgv {
+                deadline_ms: NO_DEADLINE,
+                ..QueryArgv::default()
+            };
+            let mut words = read(verb, &mut q, QUERY, rest)?.words.into_iter();
+            let QueryArgv {
+                addr,
+                action,
+                deadline_ms,
+                range,
+            } = q;
+            let mut need = |what: &str| {
+                let word = words.next().map(str::to_string);
+                word.ok_or_else(|| ParseError(format!("query {action}: missing {what}")))
+            };
+            let request = match action.as_str() {
                 "ping" => Request::Ping,
                 "stats" => Request::Stats,
                 "drain" => Request::Drain,
@@ -875,154 +737,35 @@ pub fn parse(argv: &[&str]) -> Result<Command, ParseError> {
                 "join" => Request::ShardJoin {
                     addr: need("shard address")?,
                 },
-                other => return Err(ParseError(format!("unknown query action '{other}'"))),
+                other => return err(format!("unknown query action '{other}'")),
             };
             if range.is_some() && !matches!(request, Request::PerVertex { .. }) {
-                return Err(ParseError("--range only applies to per-vertex".into()));
+                return err("--range only applies to per-vertex");
             }
             if let Some(extra) = words.next() {
-                return Err(ParseError(format!("unexpected argument '{extra}'")));
+                return unexpected(extra);
             }
-            Ok(Command::Query(QueryArgs { addr, request }))
+            Command::Query(QueryArgs { addr, request })
         }
-        "loadgen" => {
-            let mut addr = None;
-            let mut suite = None;
-            let mut connections = None;
-            let mut requests = None;
-            let mut seed = None;
-            let mut graph = None;
-            let mut deadline_ms = None;
-            let mut json = None;
-            let mut pipeline = None;
-            let mut cluster = false;
-            while let Some(arg) = it.next() {
-                match arg {
-                    "--suite" | "-s" => {
-                        let value = take_value(arg, &mut it)?;
-                        if value != "ci" {
-                            return Err(ParseError(format!("unknown loadgen suite '{value}'")));
-                        }
-                        suite = Some(value);
-                    }
-                    "--pipeline" => {
-                        let depth: usize = parse_num(arg, &take_value(arg, &mut it)?)?;
-                        if depth == 0 {
-                            return Err(ParseError("--pipeline must be at least 1".into()));
-                        }
-                        pipeline = Some(depth);
-                    }
-                    "--cluster" => cluster = true,
-                    "--connections" | "-c" => {
-                        connections = Some(parse_num(arg, &take_value(arg, &mut it)?)?);
-                    }
-                    "--requests" | "-n" => {
-                        requests = Some(parse_num(arg, &take_value(arg, &mut it)?)?);
-                    }
-                    "--seed" => seed = Some(parse_num(arg, &take_value(arg, &mut it)?)?),
-                    "--graph" | "-g" => graph = Some(take_value(arg, &mut it)?),
-                    "--deadline-ms" | "-d" => {
-                        deadline_ms = Some(parse_num(arg, &take_value(arg, &mut it)?)?);
-                    }
-                    "--json" | "-j" => json = Some(take_value(arg, &mut it)?),
-                    _ if addr.is_none() && !arg.starts_with('-') => {
-                        addr = Some(arg.to_string());
-                    }
-                    _ => return Err(ParseError(format!("unexpected argument '{arg}'"))),
-                }
+        ("loadgen", _) => {
+            let mut a = LoadgenArgs {
+                config: LoadgenConfig::ci_suite(""),
+                suite: "custom".into(),
+                json: None,
+            };
+            if let Some(extra) = read(verb, &mut a, LOADGEN, rest)?.words.first() {
+                return unexpected(extra);
             }
-            let addr = addr.ok_or_else(|| ParseError("loadgen: missing daemon address".into()))?;
-            Ok(Command::Loadgen(LoadgenCliArgs {
-                addr,
-                suite,
-                connections,
-                requests,
-                seed,
-                graph,
-                deadline_ms,
-                json,
-                pipeline,
-                cluster,
-            }))
+            Command::Loadgen(a)
         }
-        "cluster" => {
-            let rest: Vec<&str> = it.collect();
-            match rest.first().copied() {
-                Some("serve") => {
-                    let mut bind = "127.0.0.1".to_string();
-                    let mut port = 0u16;
-                    let mut shards = Vec::new();
-                    let mut data_dir = None;
-                    let mut deadline_ms = None;
-                    let mut allow_partial = false;
-                    let mut retry_seed = None;
-                    let mut it = rest[1..].iter().copied();
-                    while let Some(arg) = it.next() {
-                        match arg {
-                            "--bind" | "-b" => bind = take_value(arg, &mut it)?,
-                            "--port" | "-p" => port = parse_num(arg, &take_value(arg, &mut it)?)?,
-                            "--shard" => shards.push(take_value(arg, &mut it)?),
-                            "--data-dir" => data_dir = Some(take_value(arg, &mut it)?),
-                            "--deadline-ms" | "-d" => {
-                                deadline_ms = Some(parse_num(arg, &take_value(arg, &mut it)?)?);
-                            }
-                            "--allow-partial" => allow_partial = true,
-                            "--retry-seed" => {
-                                retry_seed = Some(parse_num(arg, &take_value(arg, &mut it)?)?);
-                            }
-                            _ => return Err(ParseError(format!("unexpected argument '{arg}'"))),
-                        }
-                    }
-                    Ok(Command::ClusterServe(ClusterServeArgs {
-                        bind,
-                        port,
-                        shards,
-                        data_dir,
-                        deadline_ms,
-                        allow_partial,
-                        retry_seed,
-                    }))
-                }
-                Some("shard") => {
-                    // Peel --coordinator, forward everything else to the
-                    // serve parser so the two verbs never drift apart.
-                    let mut coordinator = None;
-                    let mut forwarded = vec!["serve"];
-                    let mut i = 1;
-                    while i < rest.len() {
-                        if rest[i] == "--coordinator" {
-                            i += 1;
-                            let addr = rest.get(i).copied().ok_or_else(|| {
-                                ParseError("--coordinator requires a value".into())
-                            })?;
-                            coordinator = Some(addr.to_string());
-                        } else {
-                            forwarded.push(rest[i]);
-                        }
-                        i += 1;
-                    }
-                    match parse(&forwarded)? {
-                        Command::Serve(serve) => Ok(Command::ClusterShard(ClusterShardArgs {
-                            serve,
-                            coordinator,
-                        })),
-                        _ => Err(ParseError("unexpected argument 'recover'".into())),
-                    }
-                }
-                Some("query") => {
-                    // Same wire protocol as a single daemon: alias.
-                    let mut forwarded = vec!["query"];
-                    forwarded.extend(rest[1..].iter().copied());
-                    parse(&forwarded)
-                }
-                Some(other) => Err(ParseError(format!("unknown cluster verb '{other}'"))),
-                None => Err(ParseError(
-                    "cluster: missing verb (serve|shard|query)".into(),
-                )),
-            }
-        }
-        other => Err(ParseError(format!("unknown subcommand '{other}'"))),
-    }
+        ("cluster", Some("serve")) => Command::ClusterServe(only(verb, CLUSTER, tail)?),
+        ("cluster", Some("shard")) => Command::ClusterShard(only(verb, SHARD, tail)?),
+        // Same wire protocol as a single daemon: alias.
+        ("cluster", Some("query")) => return parse(&[&["query"], tail].concat()),
+        ("cluster", Some(other)) => return err(format!("unknown cluster verb '{other}'")),
+        ("cluster", None) => return err("cluster: missing verb (serve|shard|query)"),
+        (other, _) => return err(format!("unknown subcommand '{other}'")),
+    })
 }
 
 #[cfg(test)]
@@ -1313,17 +1056,18 @@ mod tests {
     fn parses_serve() {
         assert_eq!(
             parse(&["serve"]).unwrap(),
-            Command::Serve(ServeCliArgs {
+            Command::Serve(ServeConfig {
                 bind: "127.0.0.1".into(),
                 port: 0,
                 workers: 0,
-                queue: 0,
-                mem_budget: None,
+                queue_capacity: 0,
+                budget: MemoryBudget::from_bytes(512 << 20),
                 preload: vec![],
                 data_dir: None,
-                snapshot_interval_secs: None,
+                snapshot_interval: None,
                 event_threads: 0,
                 max_conns: 0,
+                ..ServeConfig::default()
             })
         );
         let c = parse(&[
@@ -1357,8 +1101,8 @@ mod tests {
                 assert_eq!(a.bind, "0.0.0.0");
                 assert_eq!(a.port, 7070);
                 assert_eq!(a.workers, 8);
-                assert_eq!(a.queue, 32);
-                assert_eq!(a.mem_budget, Some(MemoryBudget::from_bytes(1 << 30)));
+                assert_eq!(a.queue_capacity, 32);
+                assert_eq!(a.budget, MemoryBudget::from_bytes(1 << 30));
                 assert_eq!(
                     a.preload,
                     vec![
@@ -1366,8 +1110,8 @@ mod tests {
                         ("h".into(), "er:128:512:3".into())
                     ]
                 );
-                assert_eq!(a.data_dir.as_deref(), Some("/tmp/lotus-data"));
-                assert_eq!(a.snapshot_interval_secs, Some(30));
+                assert_eq!(a.data_dir, Some("/tmp/lotus-data".into()));
+                assert_eq!(a.snapshot_interval, Some(Duration::from_secs(30)));
                 assert_eq!(a.event_threads, 2);
                 assert_eq!(a.max_conns, 2048);
             }
@@ -1510,26 +1254,25 @@ mod tests {
                 "9",
             ])
             .unwrap(),
-            Command::ClusterServe(ClusterServeArgs {
+            Command::ClusterServe(ClusterConfig {
                 bind: "127.0.0.1".into(),
                 port: 0,
                 shards: vec!["a:1".into(), "b:2".into()],
                 data_dir: Some("/var/lotus".into()),
-                deadline_ms: Some(2500),
+                default_deadline: Duration::from_millis(2500),
                 allow_partial: true,
-                retry_seed: Some(9),
+                retry_seed: 9,
             })
         );
         assert_eq!(
             parse(&["cluster", "serve"]).unwrap(),
-            Command::ClusterServe(ClusterServeArgs {
+            Command::ClusterServe(ClusterConfig {
                 bind: "127.0.0.1".into(),
                 port: 0,
                 shards: vec![],
                 data_dir: None,
-                deadline_ms: None,
                 allow_partial: false,
-                retry_seed: None,
+                ..ClusterConfig::default()
             })
         );
         assert!(parse(&["cluster", "serve", "--shard"]).is_err());
@@ -1580,17 +1323,10 @@ mod tests {
     fn parses_loadgen() {
         assert_eq!(
             parse(&["loadgen", "a:1", "--suite", "ci"]).unwrap(),
-            Command::Loadgen(LoadgenCliArgs {
-                addr: "a:1".into(),
-                suite: Some("ci".into()),
-                connections: None,
-                requests: None,
-                seed: None,
-                graph: None,
-                deadline_ms: None,
+            Command::Loadgen(LoadgenArgs {
+                config: LoadgenConfig::ci_suite("a:1"),
+                suite: "ci".into(),
                 json: None,
-                pipeline: None,
-                cluster: false,
             })
         );
         let c = parse(&[
@@ -1614,14 +1350,14 @@ mod tests {
         .unwrap();
         match c {
             Command::Loadgen(a) => {
-                assert_eq!(a.connections, Some(8));
-                assert_eq!(a.requests, Some(100));
-                assert_eq!(a.seed, Some(7));
-                assert_eq!(a.graph.as_deref(), Some("er:256:1024:5"));
-                assert_eq!(a.deadline_ms, Some(500));
+                assert_eq!(a.config.connections, 8);
+                assert_eq!(a.config.requests, 100);
+                assert_eq!(a.config.seed, 7);
+                assert_eq!(a.config.graph, "er:256:1024:5");
+                assert_eq!(a.config.deadline_ms, 500);
                 assert_eq!(a.json.as_deref(), Some("serve.json"));
-                assert_eq!(a.pipeline, Some(4));
-                assert!(!a.cluster);
+                assert_eq!(a.config.pipeline, 4);
+                assert!(!a.config.cluster);
             }
             _ => panic!("wrong command"),
         }
@@ -1637,5 +1373,79 @@ mod tests {
         for h in [&["help"][..], &["--help"], &["-h"]] {
             assert_eq!(parse(h).unwrap(), Command::Help);
         }
+    }
+
+    /// Parses `generate <kind> --scale <scale>`; the generators panic on
+    /// a scale outside the kind's range, so parsing must refuse it.
+    fn generate_at(kind: &str, scale: &str) -> Result<Command, ParseError> {
+        parse(&["generate", kind, "--scale", scale, "-o", "g.lotg"])
+    }
+
+    #[test]
+    fn generate_rejects_ba_below_two_vertices() {
+        let err = generate_at("ba", "0").unwrap_err();
+        assert!(
+            err.0.contains("--scale must be between 1 and 31"),
+            "{}",
+            err.0
+        );
+        assert!(generate_at("ba", "1").is_ok());
+    }
+
+    #[test]
+    fn generate_rejects_er_below_two_vertices() {
+        assert!(generate_at("er", "0").is_err());
+        assert!(generate_at("er", "1").is_ok());
+    }
+
+    #[test]
+    fn generate_rejects_ws_without_room_for_a_ring() {
+        assert!(generate_at("ws", "1").is_err());
+        assert!(generate_at("ws", "2").is_ok());
+    }
+
+    #[test]
+    fn generate_rejects_vertex_ids_past_u32() {
+        assert!(generate_at("rmat", "32").is_err());
+        assert!(generate_at("rmat", "31").is_ok());
+        assert!(generate_at("rmat", "0").is_ok());
+    }
+
+    /// `lotus help` lists every row of every table under its verb.
+    #[test]
+    fn usage_lists_every_row_under_its_verb() {
+        fn listed<T>(usage: &str, verb: &str, rows: &[Flag<T>]) {
+            let section = usage
+                .split("\n  lotus ")
+                .find(|s| {
+                    s.strip_prefix(verb)
+                        .is_some_and(|r| r.starts_with([' ', '\n']))
+                })
+                .unwrap_or_else(|| panic!("no `lotus {verb}` in usage"));
+            for row in rows {
+                let spelled = row
+                    .short
+                    .map_or(row.long.into(), |s| format!("{s}, {}", row.long));
+                assert!(section.contains(&spelled), "`lotus {verb}` lacks {spelled}");
+            }
+        }
+        let usage = usage();
+        listed(&usage, "count", COUNT);
+        listed(&usage, "analyze [graph]", ANALYZE);
+        listed(&usage, "analyze lint", LINT);
+        listed(&usage, "analyze race", RACE);
+        listed(&usage, "analyze locks", LOCKS);
+        listed(&usage, "generate", GENERATE);
+        listed(&usage, "convert", CONVERT);
+        listed(&usage, "check", CHECK);
+        listed(&usage, "bench", BENCH);
+        listed(&usage, "bench compare", COMPARE);
+        listed(&usage, "serve", SERVE);
+        listed(&usage, "serve recover", RECOVER);
+        listed(&usage, "cluster serve", CLUSTER);
+        listed(&usage, "cluster shard", &SHARD[..1]);
+        listed(&usage, "query", QUERY);
+        // The hand-written usage text left out `loadgen --deadline-ms`.
+        listed(&usage, "loadgen", LOADGEN);
     }
 }

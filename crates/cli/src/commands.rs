@@ -24,13 +24,13 @@ use lotus_resilience::{isolate, Deadline, MemoryBudget, RunGuard};
 
 use crate::args::{
     AnalyzeArgs, AnalyzeGraphArgs, AnalyzeLintArgs, AnalyzeLocksArgs, AnalyzeRaceArgs, BenchArgs,
-    BenchCompareArgs, BenchRunArgs, CheckArgs, ClusterServeArgs, ClusterShardArgs, ConvertArgs,
-    CountArgs, GenerateArgs, LoadgenCliArgs, QueryArgs, ServeCliArgs, ServeRecoverArgs,
+    BenchCompareArgs, BenchRunArgs, CheckArgs, ClusterShardArgs, ConvertArgs, CountArgs,
+    GenerateArgs, LoadgenArgs, QueryArgs, ServeRecoverArgs,
 };
 
 /// A command failure: user-facing message plus process exit code.
 ///
-/// Codes follow the conventions documented in [`crate::args::USAGE`]:
+/// Codes follow the conventions documented in [`crate::args::usage`]:
 /// 1 runtime error, 2 usage error, 101 isolated worker panic, 124
 /// interrupted (timeout(1)'s convention for expired deadlines).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -163,9 +163,9 @@ pub fn count(args: CountArgs) -> Result<String, CliError> {
     let config = lotus_config(args.hubs, &graph);
     let start = Instant::now();
     let (triangles, detail) = match args.algorithm.as_str() {
-        "lotus" if limited => {
-            // The budgeted runner subsumes the plain guarded one: with no
-            // explicit budget the unlimited budget never degrades.
+        "lotus" => {
+            // Every LOTUS count takes the budgeted runner: with no limit
+            // set, the unlimited budget and guard never degrade or stop it.
             let budget = args
                 .mem_budget
                 .unwrap_or_else(|| MemoryBudget::from_bytes(u64::MAX));
@@ -175,10 +175,6 @@ pub fn count(args: CountArgs) -> Result<String, CliError> {
                 let _ = writeln!(out, "degraded: {reason}");
             }
             (r.total(), format!("phases: {}", r.result.breakdown))
-        }
-        "lotus" => {
-            let r = isolated(|| LotusCounter::new(config).count(&graph))?;
-            (r.total(), format!("phases: {}", r.breakdown))
         }
         "forward" if limited => {
             let total = match isolated(|| forward_count_guarded(&graph, &guard))? {
@@ -460,7 +456,8 @@ pub fn generate(args: GenerateArgs) -> Result<String, CliError> {
         "ba" => BarabasiAlbert::new(n, args.edge_factor.clamp(1, n - 1)).generate_edges(args.seed),
         "er" => ErdosRenyi::new(n, args.edge_factor as u64 * n as u64).generate_edges(args.seed),
         "ws" => {
-            let k = (args.edge_factor & !1).max(2).min(n - 1);
+            // The ring degree must stay even and below n.
+            let k = (args.edge_factor & !1).max(2).min((n - 1) & !1);
             WattsStrogatz::new(n, k, 0.1).generate_edges(args.seed)
         }
         other => return Err(CliError::usage(format!("unknown generator '{other}'"))),
@@ -635,10 +632,10 @@ pub fn convert(args: ConvertArgs) -> Result<String, CliError> {
 /// # Errors
 /// Returns a [`CliError`] when the listener cannot bind or a
 /// `--preload` graph fails to build.
-pub fn serve(args: ServeCliArgs) -> Result<String, CliError> {
+pub fn serve(config: lotus_serve::ServeConfig) -> Result<String, CliError> {
     use std::io::Write as _;
 
-    let handle = spawn_daemon(args)?;
+    let handle = spawn_daemon(config)?;
     println!("listening on {}", handle.addr());
     let _ = std::io::stdout().flush();
     handle.wait();
@@ -648,27 +645,12 @@ pub fn serve(args: ServeCliArgs) -> Result<String, CliError> {
 /// Spawns the serve daemon behind `lotus serve` / `lotus cluster
 /// shard`, printing the recovery report when the data directory
 /// replayed anything.
-fn spawn_daemon(args: ServeCliArgs) -> Result<lotus_serve::ServerHandle, CliError> {
+fn spawn_daemon(config: lotus_serve::ServeConfig) -> Result<lotus_serve::ServerHandle, CliError> {
     // Crash-recovery tests arm fault points in the spawned daemon via
     // LOTUS_FAULT_PLAN; a plain build ignores the variable entirely.
     #[cfg(feature = "fault-injection")]
     lotus_resilience::fault::arm_from_env();
 
-    let mut config = lotus_serve::ServeConfig {
-        bind: args.bind,
-        port: args.port,
-        workers: args.workers,
-        queue_capacity: args.queue,
-        preload: args.preload,
-        data_dir: args.data_dir.map(std::path::PathBuf::from),
-        snapshot_interval: args.snapshot_interval_secs.map(Duration::from_secs),
-        event_threads: args.event_threads,
-        max_conns: args.max_conns,
-        ..lotus_serve::ServeConfig::default()
-    };
-    if let Some(budget) = args.mem_budget {
-        config.budget = budget;
-    }
     let handle = lotus_serve::spawn(config).map_err(|e| CliError::runtime(e.to_string()))?;
     if let Some(report) = handle.state().recovery_report() {
         println!(
@@ -689,23 +671,9 @@ fn spawn_daemon(args: ServeCliArgs) -> Result<lotus_serve::ServerHandle, CliErro
 /// # Errors
 /// Returns a [`CliError`] when the listener cannot bind or the
 /// shard-map journal cannot be opened.
-pub fn cluster_serve(args: ClusterServeArgs) -> Result<String, CliError> {
+pub fn cluster_serve(config: lotus_cluster::ClusterConfig) -> Result<String, CliError> {
     use std::io::Write as _;
 
-    let mut config = lotus_cluster::ClusterConfig {
-        bind: args.bind,
-        port: args.port,
-        shards: args.shards,
-        data_dir: args.data_dir.map(std::path::PathBuf::from),
-        allow_partial: args.allow_partial,
-        ..lotus_cluster::ClusterConfig::default()
-    };
-    if let Some(ms) = args.deadline_ms {
-        config.default_deadline = Duration::from_millis(ms);
-    }
-    if let Some(seed) = args.retry_seed {
-        config.retry_seed = seed;
-    }
     let handle = lotus_cluster::spawn(config).map_err(|e| CliError::runtime(e.to_string()))?;
     println!("coordinating on {}", handle.addr());
     let _ = std::io::stdout().flush();
@@ -822,28 +790,12 @@ pub fn query(args: QueryArgs) -> Result<String, CliError> {
 /// # Errors
 /// Returns a [`CliError`] when the daemon is unreachable, the warm-up
 /// graph is refused, or the artifact cannot be written.
-pub fn loadgen(args: LoadgenCliArgs) -> Result<String, CliError> {
-    let mut config = lotus_serve::LoadgenConfig::ci_suite(&args.addr);
-    let suite = args.suite.unwrap_or_else(|| "custom".to_string());
-    if let Some(connections) = args.connections {
-        config.connections = connections.max(1);
-    }
-    if let Some(requests) = args.requests {
-        config.requests = requests;
-    }
-    if let Some(seed) = args.seed {
-        config.seed = seed;
-    }
-    if let Some(graph) = args.graph {
-        config.graph = graph;
-    }
-    if let Some(deadline_ms) = args.deadline_ms {
-        config.deadline_ms = deadline_ms;
-    }
-    if let Some(pipeline) = args.pipeline {
-        config.pipeline = pipeline;
-    }
-    config.cluster = args.cluster;
+pub fn loadgen(args: LoadgenArgs) -> Result<String, CliError> {
+    let LoadgenArgs {
+        mut config,
+        suite,
+        json,
+    } = args;
     // Backoff jitter follows the mix seed so two runs retry identically.
     config.retry = lotus_resilience::RetryPolicy::serve_default(config.seed);
     let report = lotus_serve::loadgen::run(&config).map_err(CliError::runtime)?;
@@ -900,12 +852,12 @@ pub fn loadgen(args: LoadgenCliArgs) -> Result<String, CliError> {
         "open conns {} (peak), max sustained {:.1} req/s",
         section.open_conns, section.max_sustained_rps,
     );
-    if let Some(path) = &args.json {
+    if let Some(path) = &json {
         use lotus_telemetry::json::Json;
         // Against a coordinator the section goes under "cluster" with
         // the fleet size; the Stats round-trip reports the fleet as
         // `workers` (DESIGN.md §16).
-        let (key, section_json) = if args.cluster {
+        let (key, section_json) = if config.cluster {
             let cluster = lotus_bench::ClusterSection {
                 shards: u64::from(durability.workers),
                 section,
@@ -1124,6 +1076,23 @@ mod tests {
         })
         .unwrap();
         assert_eq!(extract_triangles(&out), 1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn small_world_keeps_an_even_ring_degree_below_n() {
+        // 16 vertices and edge factor 16: the degree clamps to 14, not 15.
+        let path = tmp("ws.el");
+        let out = generate(GenerateArgs {
+            kind: "ws".into(),
+            scale: 4,
+            edge_factor: 16,
+            seed: 1,
+            params: "social".into(),
+            output: path.clone(),
+        })
+        .unwrap();
+        assert!(out.contains("over 16 vertices"), "{out}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -1356,17 +1325,18 @@ mod tests {
 
         // A tiny loadgen run writes a parseable serve section.
         let json = tmp("loadgen.json");
-        let out = loadgen(LoadgenCliArgs {
-            addr: addr.clone(),
-            suite: None,
-            connections: Some(2),
-            requests: Some(5),
-            seed: Some(7),
-            graph: Some("rmat:7:8:5".into()),
-            deadline_ms: None,
+        let out = loadgen(LoadgenArgs {
+            config: lotus_serve::LoadgenConfig {
+                connections: 2,
+                requests: 5,
+                seed: 7,
+                graph: "rmat:7:8:5".into(),
+                pipeline: 2,
+                cluster: false,
+                ..lotus_serve::LoadgenConfig::ci_suite(&addr)
+            },
+            suite: "custom".into(),
             json: Some(json.clone()),
-            pipeline: Some(2),
-            cluster: false,
         })
         .unwrap();
         assert!(out.contains("latency p50"), "{out}");
@@ -1434,17 +1404,18 @@ mod tests {
         // A cluster loadgen run writes a parseable cluster section with
         // the fleet size, beside no serve section at all.
         let json = tmp("loadgen_cluster.json");
-        let out = loadgen(LoadgenCliArgs {
-            addr: addr.clone(),
-            suite: None,
-            connections: Some(2),
-            requests: Some(5),
-            seed: Some(7),
-            graph: Some("rmat:7:8:5".into()),
-            deadline_ms: None,
+        let out = loadgen(LoadgenArgs {
+            config: lotus_serve::LoadgenConfig {
+                connections: 2,
+                requests: 5,
+                seed: 7,
+                graph: "rmat:7:8:5".into(),
+                pipeline: 2,
+                cluster: true,
+                ..lotus_serve::LoadgenConfig::ci_suite(&addr)
+            },
+            suite: "custom".into(),
             json: Some(json.clone()),
-            pipeline: Some(2),
-            cluster: true,
         })
         .unwrap();
         assert!(out.contains("wrote cluster section"), "{out}");

@@ -1,27 +1,9 @@
 //! Implementation of the `lotus` command-line tool.
 //!
-//! Subcommands:
-//!
-//! * `count <graph> [--algorithm A] [--hubs N]` — triangle counting.
-//! * `analyze <graph> [--hub-fraction F]` — hub/topology analysis (§3).
-//! * `generate <kind> --scale S [--edge-factor F] [--seed X] -o FILE` —
-//!   synthetic graph generation.
-//! * `convert <in> <out>` — text ↔ binary edge-list conversion.
-//! * `check <graph> [--hubs N] [--differential]` — structural and LOTUS
-//!   invariant audit, optionally cross-checking every algorithm's count.
-//! * `bench [--suite S] [--json FILE]` — named benchmark suites emitting
-//!   the machine-readable `BENCH.json` artifact; `bench compare` diffs
-//!   two artifacts and fails on regressions (the CI perf gate).
-//! * `serve [--port P] [--preload NAME=SPEC] [--data-dir DIR]` — the
-//!   graph query daemon (DESIGN.md §11); with `--data-dir` it persists
-//!   registered graphs and recovers them on restart (DESIGN.md §13).
-//!   `serve recover <dir>` replays a data directory offline; `query
-//!   <addr> <action>` is the one-shot client and `loadgen <addr>` the
-//!   latency-measuring harness.
-//! * `cluster serve|shard|query` — the sharded counting fleet
-//!   (DESIGN.md §16): a coordinator fanning requests over shard
-//!   daemons, a shard verb that self-registers with a coordinator, and
-//!   a query alias (the coordinator speaks the same LSRV protocol).
+//! The verbs, their flags and their help text are declared once, in
+//! the tables of [`args`]; `lotus help` prints [`args::usage`]. The
+//! daemons (`serve`, `cluster`) are described in DESIGN.md §11, §13
+//! and §16.
 //!
 //! Graph files are whitespace edge lists (`.txt`, `.el`) or the binary
 //! `.lotg` format; the format is chosen by extension.
@@ -56,6 +38,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
         Command::ClusterShard(c) => commands::cluster_shard(c),
         Command::Query(c) => commands::query(c),
         Command::Loadgen(c) => commands::loadgen(c),
-        Command::Help => Ok(args::USAGE.to_string()),
+        Command::Help => Ok(args::usage()),
     }
 }

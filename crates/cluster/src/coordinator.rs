@@ -66,7 +66,7 @@ pub const CLUSTER_JOURNAL: &str = "cluster.journal";
 const QUEUE_CAPACITY: usize = 64;
 
 /// Coordinator configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// Address to bind (no port), e.g. `127.0.0.1`.
     pub bind: String,

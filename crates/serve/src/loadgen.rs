@@ -18,7 +18,7 @@ use crate::proto::{Request, Response, NO_DEADLINE};
 pub const LOADGEN_GRAPH: &str = "loadgen";
 
 /// Load-generator parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadgenConfig {
     /// Daemon address (`host:port`).
     pub addr: String,

@@ -44,7 +44,7 @@ use crate::store::{DurableStore, StoreError};
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 /// Daemon configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Address to bind (no port), e.g. `127.0.0.1`.
     pub bind: String,
