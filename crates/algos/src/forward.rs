@@ -6,7 +6,6 @@
 //! `|N⁻(v) ∩ N⁻(u)|` is accumulated. Each triangle `(a < b < c)` is found
 //! exactly once, at `v = c`, `u = b`.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
@@ -113,15 +112,11 @@ pub fn count_oriented_guarded(
     kernel: IntersectKind,
     guard: &RunGuard,
 ) -> Result<u64, (StopReason, u64)> {
-    let stopped = AtomicBool::new(false);
+    let poll = guard.poll_every(256);
     let partial = (0..forward.num_vertices())
         .into_par_iter()
         .map(|v| {
-            if stopped.load(Ordering::Relaxed) {
-                return 0;
-            }
-            if v & 0xff == 0 && guard.should_stop().is_some() {
-                stopped.store(true, Ordering::Relaxed);
+            if poll.stopped(v as usize) {
                 return 0;
             }
             let nv = forward.neighbors(v);
@@ -133,10 +128,7 @@ pub fn count_oriented_guarded(
             local
         })
         .sum();
-    match guard.should_stop() {
-        Some(reason) if stopped.load(Ordering::Relaxed) => Err((reason, partial)),
-        _ => Ok(partial),
-    }
+    poll.finish(partial)
 }
 
 /// End-to-end guarded Forward count with degree ordering: orients the

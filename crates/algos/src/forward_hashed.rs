@@ -6,7 +6,6 @@
 //! every neighbour at the cost of hashing instructions — the trade-off the
 //! paper cites when arguing merge join is better for short lists (§4.4.3).
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
@@ -86,17 +85,13 @@ pub fn count_oriented_hashed_guarded(
     forward: &Csr<u32>,
     guard: &RunGuard,
 ) -> Result<u64, (StopReason, u64)> {
-    let stopped = AtomicBool::new(false);
+    let poll = guard.poll_every(256);
     let partial = (0..forward.num_vertices())
         .into_par_iter()
         .fold(
             || (HashSide::<u32>::new(), 0u64),
             |(mut side, mut total), v| {
-                if stopped.load(Ordering::Relaxed) {
-                    return (side, total);
-                }
-                if v & 0xff == 0 && guard.should_stop().is_some() {
-                    stopped.store(true, Ordering::Relaxed);
+                if poll.stopped(v as usize) {
                     return (side, total);
                 }
                 let nv = forward.neighbors(v);
@@ -112,10 +107,7 @@ pub fn count_oriented_hashed_guarded(
         )
         .map(|(_, total)| total)
         .sum();
-    match guard.should_stop() {
-        Some(reason) if stopped.load(Ordering::Relaxed) => Err((reason, partial)),
-        _ => Ok(partial),
-    }
+    poll.finish(partial)
 }
 
 /// End-to-end guarded forward-hashed count: orientation (guard checked

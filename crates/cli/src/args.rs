@@ -546,13 +546,15 @@ pub struct LoadgenArgs {
     pub json: Option<String>,
 }
 
-/// Parse failure with a user-facing message.
+/// Parse failure with a user-facing message. It displays as the message
+/// and one line that points to `lotus help`, so a mistyped flag does not
+/// scroll its own message off screen.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError(pub String);
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}\n\n{}", self.0, usage())
+        write!(f, "{}\nrun `lotus help` for usage", self.0)
     }
 }
 
@@ -1409,6 +1411,15 @@ mod tests {
         assert!(generate_at("rmat", "32").is_err());
         assert!(generate_at("rmat", "31").is_ok());
         assert!(generate_at("rmat", "0").is_ok());
+    }
+
+    #[test]
+    fn a_mistyped_flag_reports_itself_and_points_to_help() {
+        let err = parse(&["count", "g.txt", "--hubz", "4"]).expect_err("no such flag");
+        let shown = err.to_string();
+        assert!(shown.contains("--hubz"), "{shown}");
+        assert!(shown.contains("lotus help"), "{shown}");
+        assert!(shown.lines().count() <= 3, "{shown}");
     }
 
     /// `lotus help` lists every row of every table under its verb.

@@ -324,20 +324,14 @@ fn analyze_lint(args: &AnalyzeLintArgs) -> Result<String, CliError> {
     let report = lotus_analyzer::analyze_workspace(Path::new("."), Path::new(waiver_path))
         .map_err(|e| CliError::runtime(e.to_string()))?;
     if let Some(path) = &args.json {
-        std::fs::write(path, report.to_json())
-            .map_err(|e| CliError::runtime(format!("cannot write '{path}': {e}")))?;
+        write_artifact(path, report.to_json())?;
     }
-    let rendered = format!("{report}\n");
     let gating = report
         .findings
         .iter()
         .filter(|f| !f.waived && (args.deny_stale || f.rule != "stale-waiver"))
         .count();
-    if gating == 0 {
-        Ok(rendered)
-    } else {
-        Err(CliError::runtime(rendered))
-    }
+    gate(gating == 0, format!("{report}\n"))
 }
 
 /// `lotus analyze locks` — the static lock-discipline gate. Builds the
@@ -353,15 +347,9 @@ fn analyze_locks(args: &AnalyzeLocksArgs) -> Result<String, CliError> {
     let report = lotus_analyzer::analyze_locks_workspace(Path::new("."), Path::new(waiver_path))
         .map_err(|e| CliError::runtime(e.to_string()))?;
     if let Some(path) = &args.json {
-        std::fs::write(path, report.to_json())
-            .map_err(|e| CliError::runtime(format!("cannot write '{path}': {e}")))?;
+        write_artifact(path, report.to_json())?;
     }
-    let rendered = format!("{report}\n");
-    if report.is_clean() {
-        Ok(rendered)
-    } else {
-        Err(CliError::runtime(rendered))
-    }
+    gate(report.is_clean(), format!("{report}\n"))
 }
 
 /// `lotus analyze race` — replays every shipped parallel kernel under
@@ -375,8 +363,7 @@ fn analyze_race(args: &AnalyzeRaceArgs) -> Result<String, CliError> {
     };
     let suite = lotus_analyzer::run_suite(seeds);
     if let Some(path) = &args.json {
-        std::fs::write(path, suite.to_json())
-            .map_err(|e| CliError::runtime(format!("cannot write '{path}': {e}")))?;
+        write_artifact(path, suite.to_json())?;
     }
     let mut out = String::new();
     for o in &suite.outcomes {
@@ -425,11 +412,7 @@ fn analyze_race(args: &AnalyzeRaceArgs) -> Result<String, CliError> {
             "RACES FOUND"
         }
     );
-    if suite.is_clean() {
-        Ok(out)
-    } else {
-        Err(CliError::runtime(out))
-    }
+    gate(suite.is_clean(), out)
 }
 
 /// `lotus generate`.
@@ -529,11 +512,10 @@ pub fn check(args: CheckArgs) -> Result<String, CliError> {
 
     if violations == 0 {
         let _ = writeln!(out, "ok: no violations");
-        Ok(out)
     } else {
         let _ = writeln!(out, "FAILED: {violations} violation(s)");
-        Err(CliError::runtime(out))
     }
+    gate(violations == 0, out)
 }
 
 /// `lotus bench`: run a named suite (writing `BENCH.json` with
@@ -563,8 +545,7 @@ fn bench_run(args: &BenchRunArgs) -> Result<String, CliError> {
     let report = isolated(|| lotus_bench::BenchReport::run_suite(&suite))?;
     let mut out = report.summary();
     if let Some(path) = &args.json {
-        std::fs::write(path, report.to_pretty_string())
-            .map_err(|e| CliError::runtime(format!("cannot write '{path}': {e}")))?;
+        write_artifact(path, report.to_pretty_string())?;
         let _ = writeln!(out, "wrote {} run(s) to {path}", report.runs.len());
     }
     Ok(out)
@@ -596,12 +577,7 @@ fn bench_compare(args: &BenchCompareArgs) -> Result<String, CliError> {
         current_serve.as_ref(),
         args.tolerance,
     ));
-    let rendered = cmp.to_string();
-    if cmp.passed() {
-        Ok(rendered)
-    } else {
-        Err(CliError::runtime(rendered))
-    }
+    gate(cmp.passed(), cmp.to_string())
 }
 
 /// `lotus convert`.
@@ -737,14 +713,10 @@ pub fn serve_recover(args: ServeRecoverArgs) -> Result<String, CliError> {
         .map_err(|e| CliError::runtime(format!("recovering '{}': {e}", args.data_dir)))?;
     let rendered = state.report.to_json().pretty();
     if let Some(path) = &args.json {
-        std::fs::write(path, &rendered)
-            .map_err(|e| CliError::runtime(format!("cannot write '{path}': {e}")))?;
+        write_artifact(path, &rendered)?;
     }
     let damaged = !state.report.quarantined.is_empty() || state.report.journal_damage.is_some();
-    if damaged {
-        return Err(CliError::runtime(rendered));
-    }
-    Ok(rendered)
+    gate(!damaged, rendered)
 }
 
 /// `lotus query`: issue one request to a running daemon and print the
@@ -877,8 +849,7 @@ pub fn loadgen(args: LoadgenArgs) -> Result<String, CliError> {
             ("runs".into(), Json::Arr(vec![])),
             (key.into(), section_json),
         ]);
-        std::fs::write(path, doc.pretty())
-            .map_err(|e| CliError::runtime(format!("cannot write '{path}': {e}")))?;
+        write_artifact(path, doc.pretty())?;
         let _ = writeln!(out, "wrote {key} section to {path}");
     }
     if report.ok == 0 {
@@ -902,6 +873,23 @@ fn query_durability_stats(
     match reply {
         Some(Response::Stats(stats)) => stats,
         _ => lotus_serve::StatsReply::default(),
+    }
+}
+
+/// Writes a `--json` artifact to `path`.
+fn write_artifact(path: &str, contents: impl AsRef<[u8]>) -> Result<(), CliError> {
+    std::fs::write(path, contents)
+        .map_err(|e| CliError::runtime(format!("cannot write '{path}': {e}")))
+}
+
+/// The tail of a command that gates on its findings: the report on
+/// success, or the same report as a runtime error (exit 1) when the
+/// command found something.
+fn gate(clean: bool, report: String) -> Result<String, CliError> {
+    if clean {
+        Ok(report)
+    } else {
+        Err(CliError::runtime(report))
     }
 }
 

@@ -21,6 +21,13 @@
 //! *not* fused (§4.5): each phase's random accesses then target a single
 //! small structure. The fused variant is available as an ablation via
 //! [`LotusConfig::with_fused_phases`].
+//!
+//! Every count runs one driver: each phase is a stage isolated from
+//! panics, timed, and polled under a [`RunGuard`] (an unlimited one for
+//! [`LotusCounter::count`] and [`LotusCounter::count_prepared`]). The
+//! fused ablation is an arm of that driver, and per-vertex counting
+//! ([`crate::per_vertex`]) runs it with a sink that credits each
+//! triangle's corners, which counting leaves empty.
 
 // `CountError` deliberately carries the partial per-type counts and the
 // per-phase breakdown (~137 bytes); guarded runs are once-per-invocation,
@@ -28,7 +35,6 @@
 #![allow(clippy::result_large_err)]
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use rayon::prelude::*;
@@ -45,15 +51,15 @@ use crate::kernel::{
     fold_chunks, fold_vertices, hnn_vertex, hub_pairs_tile, nnn_vertex, ChunkBitmaps, NNN_WINDOW,
     PAIR_PROBE_CROSSOVER,
 };
-use crate::preprocess::{build_lotus_graph, build_lotus_graph_guarded};
+use crate::preprocess::build_lotus_graph_guarded;
 use crate::stats::LotusStats;
 use crate::structure::LotusGraph;
 use crate::tiling::{make_tiles, Tile};
 
-/// Fewest vertices or tiles per pool chunk in the counting,
-/// preprocessing, per-vertex and k-clique loops. A large graph still
-/// splits into many chunks, which idle threads steal from the hub-heavy
-/// front; a graph of under twice this many vertices (a served
+/// Fewest vertices or tiles per pool chunk in the counting (per-vertex
+/// counting included), preprocessing and k-clique loops. A large graph
+/// still splits into many chunks, which idle threads steal from the
+/// hub-heavy front; a graph of under twice this many vertices (a served
 /// request's, say) counts inline on the calling thread, whose peers are
 /// busy with requests of their own.
 pub(crate) const PAR_GRAIN: usize = 1024;
@@ -202,73 +208,23 @@ impl LotusCounter {
     }
 
     /// End-to-end run: preprocessing (Algorithm 2) plus counting
-    /// (Algorithm 3).
+    /// (Algorithm 3). This is [`LotusCounter::count_guarded`] under
+    /// [`RunGuard::unlimited`].
+    ///
+    /// # Panics
+    /// Raises a worker's panic again, with the phase it happened in.
     pub fn count(&self, graph: &UndirectedCsr) -> LotusResult {
-        let pre_start = Instant::now();
-        let lg = {
-            let _span = Span::enter(SpanId::Preprocess);
-            build_lotus_graph(graph, &self.config)
-        };
-        let preprocess = pre_start.elapsed();
-        let mut result = self.count_prepared(&lg);
-        result.breakdown.preprocess = preprocess;
-        result
+        unstoppable(self.count_guarded(graph, &RunGuard::unlimited()))
     }
 
-    /// Counts triangles of an already-built LOTUS graph.
+    /// Counts triangles of an already-built LOTUS graph: this is
+    /// [`LotusCounter::count_prepared_guarded`] under
+    /// [`RunGuard::unlimited`].
+    ///
+    /// # Panics
+    /// Raises a worker's panic again, with the phase it happened in.
     pub fn count_prepared(&self, lg: &LotusGraph) -> LotusResult {
-        let mut breakdown = Breakdown::default();
-
-        // Phase 1: HHH and HHN.
-        let start = Instant::now();
-        let span = Span::enter(SpanId::HhhHhn);
-        let tiles = make_tiles(
-            &lg.he,
-            self.config.tiling_threshold,
-            self.config.partitions_per_vertex,
-        );
-        let (hhh, hhn) = count_hub_pairs(lg, &tiles, PAIR_PROBE_CROSSOVER);
-        drop(span);
-        breakdown.hhh_hhn = start.elapsed();
-
-        let (hnn, nnn) = if self.config.fuse_hnn_nnn {
-            // Ablation path: the fused pass has no per-phase span; its
-            // kernel work still lands in the kernel counters.
-            let start = Instant::now();
-            let counts = count_hnn_nnn_fused(lg, NNN_WINDOW);
-            // Attribute the fused time to both phases evenly.
-            let half = start.elapsed() / 2;
-            breakdown.hnn = half;
-            breakdown.nnn = half;
-            counts
-        } else {
-            // Phase 2: HNN.
-            let start = Instant::now();
-            let span = Span::enter(SpanId::Hnn);
-            let hnn = count_hnn(lg);
-            drop(span);
-            breakdown.hnn = start.elapsed();
-
-            // Phase 3: NNN.
-            let start = Instant::now();
-            let span = Span::enter(SpanId::Nnn);
-            let nnn = count_nnn(lg, NNN_WINDOW);
-            drop(span);
-            breakdown.nnn = start.elapsed();
-            (hnn, nnn)
-        };
-
-        LotusResult {
-            stats: LotusStats {
-                hhh,
-                hhn,
-                hnn,
-                nnn,
-                he_edges: lg.he_edges(),
-                nhe_edges: lg.nhe_edges(),
-            },
-            breakdown,
-        }
+        unstoppable(self.count_prepared_guarded(lg, &RunGuard::unlimited()))
     }
 
     /// End-to-end run under a [`RunGuard`], with each stage isolated by
@@ -276,11 +232,9 @@ impl LotusCounter {
     /// all surface as a structured [`CountError`] carrying the partial
     /// per-type counts and the per-phase breakdown collected so far.
     ///
-    /// The guard is polled at tile granularity in phase 1 and every few
-    /// hundred vertices in phases 2 and 3. The guarded runner always
-    /// executes the paper's split HNN/NNN phases (the fused ablation of
-    /// [`LotusConfig::with_fused_phases`] is a perf experiment, not a
-    /// production path).
+    /// The guard is polled every 16 tiles in phase 1 and every 256
+    /// vertices in phases 2 and 3, the fused ablation of
+    /// [`LotusConfig::with_fused_phases`] included.
     ///
     /// # Errors
     /// Returns a [`CountError`] when the guard stops the run or a worker
@@ -290,37 +244,14 @@ impl LotusCounter {
         graph: &UndirectedCsr,
         guard: &RunGuard,
     ) -> Result<LotusResult, CountError> {
-        let breakdown = Breakdown::default();
-        let stats = LotusStats::default();
-
-        let start = Instant::now();
-        let lg = match isolate(|| {
-            let _span = Span::enter(SpanId::Preprocess);
-            build_lotus_graph_guarded(graph, &self.config, guard)
-        }) {
-            Err(panic) => {
-                counters::incr(Counter::PhasePanics);
-                return Err(CountError::PhasePanic {
-                    phase: Phase::Preprocess,
-                    message: panic.message,
-                    partial: stats,
-                    breakdown,
-                });
-            }
-            Ok(Err(reason)) => {
-                counters::incr(Counter::GuardStops);
-                return Err(CountError::Interrupted {
-                    phase: Phase::Preprocess,
-                    reason,
-                    partial: stats,
-                    breakdown,
-                });
-            }
-            Ok(Ok(lg)) => lg,
-        };
-        let mut breakdown = breakdown;
-        breakdown.preprocess = start.elapsed();
-        self.count_prepared_guarded_with(&lg, guard, breakdown)
+        let mut run = LotusResult::default();
+        let lg = stage(
+            Phase::Preprocess,
+            &mut run,
+            || build_lotus_graph_guarded(graph, &self.config, guard).map_err(|r| (r, ())),
+            |_, ()| {},
+        )?;
+        self.run_phases(&lg, guard, &(), NNN_WINDOW, PAIR_PROBE_CROSSOVER, run)
     }
 
     /// Guarded counting of an already-built LOTUS graph.
@@ -333,97 +264,128 @@ impl LotusCounter {
         lg: &LotusGraph,
         guard: &RunGuard,
     ) -> Result<LotusResult, CountError> {
-        self.count_prepared_guarded_with(lg, guard, Breakdown::default())
+        let run = LotusResult::default();
+        self.run_phases(lg, guard, &(), NNN_WINDOW, PAIR_PROBE_CROSSOVER, run)
     }
 
-    fn count_prepared_guarded_with(
+    /// The three phases of Algorithm 3 over `lg`, each a [`stage`] of
+    /// `run`: every count runs this driver. Each triangle found is also
+    /// credited to `corners`; NNN uses a `window`-bit window per chunk,
+    /// and phase-1 rows of at most `crossover` pairs per H2H word probe
+    /// pair by pair.
+    pub(crate) fn run_phases<S: Corners + ?Sized>(
         &self,
         lg: &LotusGraph,
         guard: &RunGuard,
-        mut breakdown: Breakdown,
+        corners: &S,
+        window: usize,
+        crossover: usize,
+        mut run: LotusResult,
     ) -> Result<LotusResult, CountError> {
-        let mut stats = LotusStats {
-            he_edges: lg.he_edges(),
-            nhe_edges: lg.nhe_edges(),
-            ..LotusStats::default()
-        };
-
-        // Phase 1: HHH and HHN.
-        let start = Instant::now();
-        let tiles = make_tiles(
-            &lg.he,
-            self.config.tiling_threshold,
-            self.config.partitions_per_vertex,
-        );
-        let outcome = isolate(|| {
-            let _span = Span::enter(SpanId::HhhHhn);
-            fault_point!(panic: "core.phase.hhh_hhn");
-            count_hub_pairs_guarded(lg, &tiles, guard, PAIR_PROBE_CROSSOVER)
-        });
-        breakdown.hhh_hhn = start.elapsed();
-        let (hhh, hhn) = unwrap_phase(
-            outcome,
+        run.stats.he_edges = lg.he_edges();
+        run.stats.nhe_edges = lg.nhe_edges();
+        let config = &self.config;
+        count_stage(
             Phase::HhhHhn,
-            &mut stats,
-            &breakdown,
-            |s, (a, b)| {
-                s.hhh = a;
-                s.hhn = b;
+            &mut run,
+            || {
+                fault_point!(panic: "core.phase.hhh_hhn");
+                let tiles = make_tiles(
+                    &lg.he,
+                    config.tiling_threshold,
+                    config.partitions_per_vertex,
+                );
+                hub_pairs(lg, &tiles, guard, crossover, corners)
+            },
+            |s, (hhh, hhn)| {
+                s.hhh = hhh;
+                s.hhn = hhn;
             },
         )?;
-        stats.hhh = hhh;
-        stats.hhn = hhn;
-
-        // Phase 2: HNN.
-        let start = Instant::now();
-        let outcome = isolate(|| {
-            let _span = Span::enter(SpanId::Hnn);
-            fault_point!(panic: "core.phase.hnn");
-            count_hnn_guarded(lg, guard)
-        });
-        breakdown.hnn = start.elapsed();
-        let hnn = unwrap_phase(outcome, Phase::Hnn, &mut stats, &breakdown, |s, c| {
-            s.hnn = c;
-        })?;
-        stats.hnn = hnn;
-
-        // Phase 3: NNN.
-        let start = Instant::now();
-        let outcome = isolate(|| {
-            let _span = Span::enter(SpanId::Nnn);
-            fault_point!(panic: "core.phase.nnn");
-            count_nnn_guarded(lg, guard, NNN_WINDOW)
-        });
-        breakdown.nnn = start.elapsed();
-        let nnn = unwrap_phase(outcome, Phase::Nnn, &mut stats, &breakdown, |s, c| {
-            s.nnn = c;
-        })?;
-        stats.nnn = nnn;
-
-        Ok(LotusResult { stats, breakdown })
+        if config.fuse_hnn_nnn {
+            count_stage(
+                Phase::Hnn,
+                &mut run,
+                || {
+                    fault_point!(panic: "core.phase.hnn");
+                    hnn_nnn_fused(lg, guard, window, corners)
+                },
+                |s, (hnn, nnn)| {
+                    s.hnn = hnn;
+                    s.nnn = nnn;
+                },
+            )?;
+            // The fused pass runs under the HNN span; its time is
+            // attributed to both phases evenly.
+            run.breakdown.nnn = run.breakdown.hnn / 2;
+            run.breakdown.hnn -= run.breakdown.nnn;
+        } else {
+            count_stage(
+                Phase::Hnn,
+                &mut run,
+                || {
+                    fault_point!(panic: "core.phase.hnn");
+                    hnn(lg, guard, corners)
+                },
+                |s, c| s.hnn = c,
+            )?;
+            count_stage(
+                Phase::Nnn,
+                &mut run,
+                || {
+                    fault_point!(panic: "core.phase.nnn");
+                    nnn(lg, guard, window, corners)
+                },
+                |s, c| s.nnn = c,
+            )?;
+        }
+        Ok(run)
     }
 }
 
-/// Folds one phase's tri-state outcome (ok / interrupted-with-partial /
-/// panicked) into either the completed counts or a [`CountError`] that
-/// records the partial counts via `record`.
-fn unwrap_phase<C: Copy>(
-    outcome: Result<Result<C, (StopReason, C)>, lotus_resilience::PanicCaught>,
+/// The result of a run under [`RunGuard::unlimited`], which never stops:
+/// only a worker panic fails it. That panic carries on unwinding, as it
+/// would have without the stage's isolation, now with the phase it
+/// happened in.
+pub(crate) fn unstoppable<T>(run: Result<T, CountError>) -> T {
+    run.unwrap_or_else(|err| std::panic::resume_unwind(Box::new(err.to_string())))
+}
+
+/// Runs one stage of a guarded run: isolated, timed into `phase`'s slot
+/// of the breakdown, under `phase`'s span. A completed stage returns its
+/// value. A stage the guard stopped files its partial result into the
+/// counts with `record` and returns [`CountError::Interrupted`]; a stage
+/// that panicked returns [`CountError::PhasePanic`]. Either error carries
+/// `run` as it then stands.
+pub(crate) fn stage<T, P>(
     phase: Phase,
-    stats: &mut LotusStats,
-    breakdown: &Breakdown,
-    record: impl FnOnce(&mut LotusStats, C),
-) -> Result<C, CountError> {
+    run: &mut LotusResult,
+    body: impl FnOnce() -> Result<T, (StopReason, P)>,
+    record: impl FnOnce(&mut LotusStats, P),
+) -> Result<T, CountError> {
+    let (span, slot) = match phase {
+        Phase::Preprocess => (SpanId::Preprocess, &mut run.breakdown.preprocess),
+        Phase::HhhHhn => (SpanId::HhhHhn, &mut run.breakdown.hhh_hhn),
+        Phase::Hnn => (SpanId::Hnn, &mut run.breakdown.hnn),
+        Phase::Nnn => (SpanId::Nnn, &mut run.breakdown.nnn),
+        Phase::Fallback => (SpanId::Fallback, &mut run.breakdown.nnn),
+    };
+    let start = Instant::now();
+    let outcome = isolate(|| {
+        let _span = Span::enter(span);
+        body()
+    });
+    *slot = start.elapsed();
     match outcome {
-        Ok(Ok(counts)) => Ok(counts),
-        Ok(Err((reason, partial_counts))) => {
+        Ok(Ok(value)) => Ok(value),
+        Ok(Err((reason, partial))) => {
             counters::incr(Counter::GuardStops);
-            record(stats, partial_counts);
+            record(&mut run.stats, partial);
             Err(CountError::Interrupted {
                 phase,
                 reason,
-                partial: *stats,
-                breakdown: *breakdown,
+                partial: run.stats,
+                breakdown: run.breakdown,
             })
         }
         Err(panic) => {
@@ -431,168 +393,154 @@ fn unwrap_phase<C: Copy>(
             Err(CountError::PhasePanic {
                 phase,
                 message: panic.message,
-                partial: *stats,
-                breakdown: *breakdown,
+                partial: run.stats,
+                breakdown: run.breakdown,
             })
         }
     }
 }
 
-/// Phase 1 over a prepared tile list: returns `(hhh, hhn)`. Rows of at
-/// most `crossover` pairs per H2H word probe pair by pair.
-pub(crate) fn count_hub_pairs(lg: &LotusGraph, tiles: &[Tile], crossover: usize) -> (u64, u64) {
-    fold_chunks(
-        tiles.par_iter().with_min_len(PAR_GRAIN),
-        || ChunkBitmaps::hubs(lg),
-        |s, t| hub_pair_split(lg, t, hub_pairs_tile_of(lg, &mut s.hubs, t, crossover)),
-        |a, b| (a.0 + b.0, a.1 + b.1),
-    )
+/// A [`stage`] that counts: `record` files its counts into `run`,
+/// complete or partial.
+pub(crate) fn count_stage<C>(
+    phase: Phase,
+    run: &mut LotusResult,
+    body: impl FnOnce() -> Guarded<C>,
+    record: impl Fn(&mut LotusStats, C),
+) -> Result<(), CountError> {
+    let found = stage(phase, run, body, &record)?;
+    record(&mut run.stats, found);
+    Ok(())
 }
 
-/// Counts the connected hub pairs of tile `t` of `lg`.
-#[inline]
-fn hub_pairs_tile_of(lg: &LotusGraph, marks: &mut Bitmap, t: &Tile, crossover: usize) -> u64 {
-    hub_pairs_tile(
-        &lg.h2h,
-        marks,
-        lg.hub_neighbors(t.v),
-        t,
-        crossover,
-        |_, _| {},
-    )
+/// Where a phase sends the corners of each triangle it finds, besides
+/// counting it. Counting passes `()`, which drops them, so the phase
+/// loops compile as if there were no sink; per-vertex counting passes
+/// one counter per vertex ([`crate::per_vertex`]).
+pub(crate) trait Corners: Sync {
+    /// Credits one triangle to each of its corners `a`, `b` and `c`
+    /// (new IDs).
+    fn credit(&self, a: u32, b: u32, c: u32);
 }
 
-/// Files the pairs `found` in tile `t` as `(hhh, hhn)`: a hub's pairs
-/// close HHH triangles, a non-hub's HHN ones.
-fn hub_pair_split(lg: &LotusGraph, t: &Tile, found: u64) -> (u64, u64) {
-    if lg.is_hub(t.v) {
-        (found, 0)
-    } else {
-        (0, found)
-    }
+impl Corners for () {
+    #[inline(always)]
+    fn credit(&self, _: u32, _: u32, _: u32) {}
 }
 
-/// Phase 2: HNN triangles.
-fn count_hnn(lg: &LotusGraph) -> u64 {
-    fold_vertices(
-        lg,
-        || ChunkBitmaps::hubs(lg),
-        |s, v| hnn_vertex(lg, &mut s.hubs, v, lg.nonhub_neighbors(v), |_, _| {}),
-        |a, b| a + b,
-    )
-}
+/// A phase's result: complete, or partial with the reason it stopped.
+type Guarded<C> = Result<C, (StopReason, C)>;
 
-/// Phase 3: NNN triangles, with a `window`-bit NNN window per chunk.
-pub(crate) fn count_nnn(lg: &LotusGraph, window: usize) -> u64 {
-    fold_vertices(
-        lg,
-        || ChunkBitmaps::nnn(lg, window),
-        |s, v| nnn_vertex(lg, &mut s.window, v, |_, _| {}),
-        |a, b| a + b,
-    )
-}
-
-/// Guarded phase 1: like [`count_hub_pairs`] but polls the guard every
-/// 16 tiles. On a stop, workers that have not started yet contribute
-/// zero and the partial sums reduced so far are returned with the
-/// reason.
-pub(crate) fn count_hub_pairs_guarded(
+/// Phase 1, HHH + HHN, over `tiles`: returns `(hhh, hhn)`, polling
+/// `guard` every 16 tiles. Rows of at most `crossover` pairs per H2H
+/// word probe pair by pair.
+pub(crate) fn hub_pairs<S: Corners + ?Sized>(
     lg: &LotusGraph,
     tiles: &[Tile],
     guard: &RunGuard,
     crossover: usize,
-) -> Result<(u64, u64), (StopReason, (u64, u64))> {
-    let stopped = AtomicBool::new(false);
-    let partial = fold_chunks(
+    corners: &S,
+) -> Guarded<(u64, u64)> {
+    let poll = guard.poll_every(16);
+    let found = fold_chunks(
         tiles.par_iter().with_min_len(PAR_GRAIN).enumerate(),
         || ChunkBitmaps::hubs(lg),
         |s, (i, t)| {
-            if stopped.load(Ordering::Relaxed) {
+            if poll.stopped(i) {
                 return (0, 0);
             }
-            if i & 0xf == 0 && guard.should_stop().is_some() {
-                stopped.store(true, Ordering::Relaxed);
-                return (0, 0);
+            let he = lg.hub_neighbors(t.v);
+            let found = hub_pairs_tile(&lg.h2h, &mut s.hubs, he, t, crossover, |h1, h2| {
+                corners.credit(t.v, h1.into(), h2.into());
+            });
+            // A hub's pairs close HHH triangles, a non-hub's HHN ones.
+            if lg.is_hub(t.v) {
+                (found, 0)
+            } else {
+                (0, found)
             }
-            hub_pair_split(lg, t, hub_pairs_tile_of(lg, &mut s.hubs, t, crossover))
         },
         |a, b| (a.0 + b.0, a.1 + b.1),
     );
-    match guard.should_stop() {
-        Some(reason) if stopped.load(Ordering::Relaxed) => Err((reason, partial)),
-        _ => Ok(partial),
-    }
+    poll.finish(found)
 }
 
-/// Guarded phase 2: like [`count_hnn`] but polls the guard every 256
-/// vertices.
-fn count_hnn_guarded(lg: &LotusGraph, guard: &RunGuard) -> Result<u64, (StopReason, u64)> {
-    let stopped = AtomicBool::new(false);
-    let partial = fold_vertices(
+/// Phase 2, HNN, polling `guard` every 256 vertices.
+fn hnn<S: Corners + ?Sized>(lg: &LotusGraph, guard: &RunGuard, corners: &S) -> Guarded<u64> {
+    let poll = guard.poll_every(256);
+    let found = fold_vertices(
         lg,
         || ChunkBitmaps::hubs(lg),
         |s, v| {
-            if stopped.load(Ordering::Relaxed) {
+            if poll.stopped(v as usize) {
                 return 0;
             }
-            if v & 0xff == 0 && guard.should_stop().is_some() {
-                stopped.store(true, Ordering::Relaxed);
-                return 0;
-            }
-            hnn_vertex(lg, &mut s.hubs, v, lg.nonhub_neighbors(v), |_, _| {})
+            hnn_vertex(lg, &mut s.hubs, v, lg.nonhub_neighbors(v), |u, h| {
+                corners.credit(v, u, h.into());
+            })
         },
         |a, b| a + b,
     );
-    match guard.should_stop() {
-        Some(reason) if stopped.load(Ordering::Relaxed) => Err((reason, partial)),
-        _ => Ok(partial),
-    }
+    poll.finish(found)
 }
 
-/// Guarded phase 3: like [`count_nnn`] but polls the guard every 256
-/// vertices.
-pub(crate) fn count_nnn_guarded(
+/// Phase 3, NNN, with a `window`-bit NNN window per chunk, polling
+/// `guard` every 256 vertices.
+pub(crate) fn nnn<S: Corners + ?Sized>(
     lg: &LotusGraph,
     guard: &RunGuard,
     window: usize,
-) -> Result<u64, (StopReason, u64)> {
-    let stopped = AtomicBool::new(false);
-    let partial = fold_vertices(
+    corners: &S,
+) -> Guarded<u64> {
+    let poll = guard.poll_every(256);
+    let found = fold_vertices(
         lg,
         || ChunkBitmaps::nnn(lg, window),
         |s, v| {
-            if stopped.load(Ordering::Relaxed) {
+            if poll.stopped(v as usize) {
                 return 0;
             }
-            if v & 0xff == 0 && guard.should_stop().is_some() {
-                stopped.store(true, Ordering::Relaxed);
-                return 0;
-            }
-            nnn_vertex(lg, &mut s.window, v, |_, _| {})
+            nnn_vertex(lg, &mut s.window, v, |u, w| corners.credit(v, u, w))
         },
         |a, b| a + b,
     );
-    match guard.should_stop() {
-        Some(reason) if stopped.load(Ordering::Relaxed) => Err((reason, partial)),
-        _ => Ok(partial),
-    }
+    poll.finish(found)
 }
 
-/// Fused HNN + NNN ablation: one pass over the vertices, each running
-/// its HNN probes and its NNN probes back to back over the same NHE
-/// list, so both phases' random accesses share one pass. Returns
-/// `(hnn, nnn)`.
-pub(crate) fn count_hnn_nnn_fused(lg: &LotusGraph, window: usize) -> (u64, u64) {
-    fold_vertices(
+/// The fused HNN + NNN ablation: one pass over the vertices, each running
+/// its HNN probes and its NNN probes back to back over the same NHE list,
+/// so both phases' random accesses share one pass. Returns `(hnn, nnn)`,
+/// polling `guard` every 256 vertices.
+pub(crate) fn hnn_nnn_fused<S: Corners + ?Sized>(
+    lg: &LotusGraph,
+    guard: &RunGuard,
+    window: usize,
+    corners: &S,
+) -> Guarded<(u64, u64)> {
+    let poll = guard.poll_every(256);
+    let found = fold_vertices(
         lg,
         || ChunkBitmaps::fused(lg, window),
         |s, v| {
-            let hnn = hnn_vertex(lg, &mut s.hubs, v, lg.nonhub_neighbors(v), |_, _| {});
-            let nnn = nnn_vertex(lg, &mut s.window, v, |_, _| {});
+            if poll.stopped(v as usize) {
+                return (0, 0);
+            }
+            let nhe_v = lg.nonhub_neighbors(v);
+            let hnn = hnn_vertex(lg, &mut s.hubs, v, nhe_v, |u, h| {
+                corners.credit(v, u, h.into());
+            });
+            let nnn = nnn_vertex(lg, &mut s.window, v, |u, w| corners.credit(v, u, w));
             (hnn, nnn)
         },
         |a, b| (a.0 + b.0, a.1 + b.1),
-    )
+    );
+    poll.finish(found)
+}
+
+/// A phase run under [`RunGuard::unlimited`], which never stops it.
+fn unguarded<C>(phase: impl FnOnce(&RunGuard) -> Guarded<C>) -> C {
+    phase(&RunGuard::unlimited())
+        .unwrap_or_else(|(reason, _)| unreachable!("an unlimited guard stopped a phase: {reason}"))
 }
 
 /// Convenience: end-to-end LOTUS count with default configuration.
@@ -603,17 +551,17 @@ pub fn lotus_count(graph: &UndirectedCsr) -> u64 {
 /// Public phase-1 entry over an explicit tile list: returns `(hhh, hhn)`.
 /// Used by the recursive extension and the load-balance experiments.
 pub fn count_hub_phase(lg: &LotusGraph, tiles: &[Tile]) -> (u64, u64) {
-    count_hub_pairs(lg, tiles, PAIR_PROBE_CROSSOVER)
+    unguarded(|g| hub_pairs(lg, tiles, g, PAIR_PROBE_CROSSOVER, &()))
 }
 
 /// Public phase-2 (HNN) entry. Used by the recursive extension.
 pub fn count_hnn_phase(lg: &LotusGraph) -> u64 {
-    count_hnn(lg)
+    unguarded(|g| hnn(lg, g, &()))
 }
 
 /// Public phase-3 (NNN) entry.
 pub fn count_nnn_phase(lg: &LotusGraph) -> u64 {
-    count_nnn(lg, NNN_WINDOW)
+    unguarded(|g| nnn(lg, g, NNN_WINDOW, &()))
 }
 
 /// Counts the connected hub pairs of a single tile of `he` against the
@@ -628,6 +576,7 @@ pub fn count_single_tile(h2h: &TriBitArray, marks: &mut Bitmap, he: &[u16], tile
 mod tests {
     use super::*;
     use crate::config::HubCount;
+    use crate::preprocess::build_lotus_graph;
     use lotus_algos::forward::forward_count;
     use lotus_graph::builder::graph_from_edges;
 
@@ -816,5 +765,36 @@ mod tests {
             .count_prepared_guarded(&lg, &RunGuard::unlimited())
             .expect("unlimited guard never stops");
         assert_eq!(guarded.stats, plain.stats);
+    }
+
+    #[test]
+    fn guarded_fused_phases_match_the_split_phases() {
+        let g = lotus_gen::Rmat::new(9, 8).generate(13);
+        let lg = build_lotus_graph(&g, &cfg(64));
+        let split = LotusCounter::new(cfg(64)).count_prepared(&lg);
+        let fused = LotusCounter::new(cfg(64).with_fused_phases(true))
+            .count_prepared_guarded(&lg, &RunGuard::unlimited())
+            .expect("unlimited guard never stops");
+        assert_eq!(fused.stats, split.stats);
+    }
+
+    #[test]
+    fn expired_deadline_interrupts_the_fused_phases() {
+        use lotus_resilience::Deadline;
+        // With no hubs phase 1 has no tiles, so the fused pass is the
+        // first loop to poll the guard.
+        let g = lotus_gen::Rmat::new(10, 10).generate(6);
+        let lg = build_lotus_graph(&g, &cfg(0));
+        let guard = RunGuard::unlimited().with_deadline(Deadline::after(std::time::Duration::ZERO));
+        let err = LotusCounter::new(cfg(0).with_fused_phases(true))
+            .count_prepared_guarded(&lg, &guard)
+            .expect_err("zero deadline must interrupt");
+        match err {
+            CountError::Interrupted { phase, reason, .. } => {
+                assert_eq!(phase, Phase::Hnn);
+                assert_eq!(reason, StopReason::DeadlineExpired);
+            }
+            other => panic!("expected Interrupted, got {other:?}"),
+        }
     }
 }

@@ -22,11 +22,12 @@
 //!   spans more than the window takes the merge join instead
 //!   (substitution 7).
 //!
-//! Every phase-1 path (plain, guarded, per-vertex and the single-tile
-//! replay) runs [`hub_pairs_tile`], every HNN path (plain, guarded,
-//! fused, blocked and per-vertex) runs [`hnn_vertex`], and every NNN path
-//! (plain, guarded, fused and per-vertex) runs [`nnn_vertex`]. All but
-//! the single-tile replay run inside [`fold_chunks`].
+//! The one counting driver ([`crate::count`]) runs [`hub_pairs_tile`]
+//! in phase 1, [`hnn_vertex`] in HNN and [`nnn_vertex`] in NNN, split or
+//! fused, whether it counts or credits corners per vertex. The
+//! single-tile replay runs [`hub_pairs_tile`] too, and blocked HNN runs
+//! [`hnn_vertex`]. All but the single-tile replay run inside
+//! [`fold_chunks`].
 
 use rayon::prelude::*;
 
@@ -350,10 +351,7 @@ pub(crate) fn nnn_vertex(
 mod tests {
     use super::*;
     use crate::config::{HubCount, LotusConfig};
-    use crate::count::{
-        count_hnn_nnn_fused, count_hub_pairs, count_hub_pairs_guarded, count_nnn,
-        count_nnn_guarded, count_single_tile,
-    };
+    use crate::count::{count_single_tile, hnn_nnn_fused, hub_pairs, nnn};
     use crate::per_vertex::count_per_vertex_in;
     use crate::preprocess::build_lotus_graph;
     use crate::tiling::{make_tiles, SqrtFractions};
@@ -388,11 +386,11 @@ mod tests {
     fn assert_nnn_paths_agree(g: &UndirectedCsr, hubs: u32, window: usize, what: &str) {
         let lg = lotus(g, hubs);
         let want = merge_nnn(&lg);
-        assert_eq!(count_nnn(&lg, window), want, "{what} hubs {hubs}: plain");
-        let guarded = count_nnn_guarded(&lg, &RunGuard::unlimited(), window);
-        assert_eq!(guarded, Ok(want), "{what} hubs {hubs}: guarded");
-        let fused = count_hnn_nnn_fused(&lg, window).1;
-        assert_eq!(fused, want, "{what} hubs {hubs}: fused");
+        let unlimited = RunGuard::unlimited();
+        let split = nnn(&lg, &unlimited, window, &());
+        assert_eq!(split, Ok(want), "{what} hubs {hubs}: split");
+        let fused = hnn_nnn_fused(&lg, &unlimited, window, &()).map(|(_, nnn)| nnn);
+        assert_eq!(fused, Ok(want), "{what} hubs {hubs}: fused");
         assert_eq!(
             count_per_vertex_in(&lg, window, PAIR_PROBE_CROSSOVER),
             lotus_algos::forward::per_vertex_counts(g),
@@ -599,8 +597,8 @@ mod tests {
     }
 
     /// Every phase-1 path agrees with the per-pair probe on tiles that
-    /// start in the middle of a list: plain, guarded and per-vertex with
-    /// each crossover, and the single-tile replay.
+    /// start in the middle of a list: counting and per-vertex with each
+    /// crossover, and the single-tile replay.
     #[test]
     fn phase1_paths_match_the_pair_probe() {
         let rmat = lotus_gen::Rmat::new(12, 16).generate(5);
@@ -615,10 +613,8 @@ mod tests {
                 let mut marks = Bitmap::new(lg.hub_count as usize);
                 for crossover in CROSSOVERS {
                     let at = format!("{what} hubs {hubs} crossover {crossover}");
-                    assert_eq!(count_hub_pairs(&lg, &tiles, crossover), want, "{at}: plain");
-                    let guarded =
-                        count_hub_pairs_guarded(&lg, &tiles, &RunGuard::unlimited(), crossover);
-                    assert_eq!(guarded, Ok(want), "{at}: guarded");
+                    let found = hub_pairs(&lg, &tiles, &RunGuard::unlimited(), crossover, &());
+                    assert_eq!(found, Ok(want), "{at}: count");
                     let counts = count_per_vertex_in(&lg, NNN_WINDOW, crossover);
                     assert_eq!(counts, per_vertex, "{at}: per vertex");
                 }

@@ -3,24 +3,33 @@
 //! Local triangle counts drive the clustering-coefficient and
 //! community-detection applications the paper's introduction motivates.
 //! Each LOTUS phase knows all three corners of every triangle it finds,
-//! so the per-type structure extends naturally: corners are credited with
-//! relaxed atomic increments, and results are reported in *original*
-//! vertex IDs via the stored relabeling.
+//! so the count runs the one LOTUS driver with a corner sink that credits
+//! each corner with a relaxed atomic increment; results are reported in
+//! *original* vertex IDs via the stored relabeling.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rayon::prelude::*;
+use lotus_resilience::RunGuard;
 
-use crate::count::PAR_GRAIN;
-use crate::kernel::{
-    fold_chunks, fold_vertices, hnn_vertex, hub_pairs_tile, nnn_vertex, ChunkBitmaps, NNN_WINDOW,
-    PAIR_PROBE_CROSSOVER,
-};
+use crate::count::{unstoppable, Corners, LotusCounter, LotusResult};
+use crate::kernel::{NNN_WINDOW, PAIR_PROBE_CROSSOVER};
 use crate::structure::LotusGraph;
-use crate::tiling::{make_tiles, Tile};
+
+/// One triangle counter per vertex (new IDs).
+impl Corners for [AtomicU64] {
+    #[inline]
+    fn credit(&self, a: u32, b: u32, c: u32) {
+        for corner in [a, b, c] {
+            self[corner as usize].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
 
 /// Counts triangles per vertex (original IDs). The sum over all vertices
 /// is `3 × total triangles`.
+///
+/// # Panics
+/// Raises a worker's panic again, with the phase it happened in.
 pub fn count_per_vertex(lg: &LotusGraph) -> Vec<u64> {
     count_per_vertex_in(lg, NNN_WINDOW, PAIR_PROBE_CROSSOVER)
 }
@@ -29,57 +38,13 @@ pub fn count_per_vertex(lg: &LotusGraph) -> Vec<u64> {
 /// phase-1 rows of at most `crossover` pairs per H2H word probed pair by
 /// pair.
 pub(crate) fn count_per_vertex_in(lg: &LotusGraph, window: usize, crossover: usize) -> Vec<u64> {
-    let n = lg.num_vertices() as usize;
-    let counts: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-
-    // Phase 1: HHH + HHN — corners are (v, h1, h2).
-    let tiles = make_tiles(&lg.he, u32::MAX, 1);
-    fold_chunks(
-        tiles.par_iter().with_min_len(PAR_GRAIN),
-        || ChunkBitmaps::hubs(lg),
-        |s, t: &Tile| {
-            let he = lg.hub_neighbors(t.v);
-            hub_pairs_tile(&lg.h2h, &mut s.hubs, he, t, crossover, |h1, h2| {
-                counts[t.v as usize].fetch_add(1, Ordering::Relaxed);
-                counts[usize::from(h1)].fetch_add(1, Ordering::Relaxed);
-                counts[usize::from(h2)].fetch_add(1, Ordering::Relaxed);
-            });
-        },
-        |(), ()| (),
-    );
-
-    // Phase 2: HNN — corners are (v, u, h).
-    fold_vertices(
-        lg,
-        || ChunkBitmaps::hubs(lg),
-        |s, v| {
-            hnn_vertex(lg, &mut s.hubs, v, lg.nonhub_neighbors(v), |u, h| {
-                counts[v as usize].fetch_add(1, Ordering::Relaxed);
-                counts[u as usize].fetch_add(1, Ordering::Relaxed);
-                counts[h as usize].fetch_add(1, Ordering::Relaxed);
-            });
-        },
-        |(), ()| (),
-    );
-
-    // Phase 3: NNN — corners are (v, u, w).
-    fold_vertices(
-        lg,
-        || ChunkBitmaps::nnn(lg, window),
-        |s, v| {
-            nnn_vertex(lg, &mut s.window, v, |u, w| {
-                counts[v as usize].fetch_add(1, Ordering::Relaxed);
-                counts[u as usize].fetch_add(1, Ordering::Relaxed);
-                counts[w as usize].fetch_add(1, Ordering::Relaxed);
-            });
-        },
-        |(), ()| (),
-    );
-
-    // Map back to original IDs.
-    let mut out = vec![0u64; n];
-    for new_id in 0..n {
-        out[lg.relabeling.old_id(new_id as u32) as usize] = counts[new_id].load(Ordering::Relaxed);
+    let counts: Vec<AtomicU64> = (0..lg.num_vertices()).map(|_| AtomicU64::new(0)).collect();
+    let (counter, guard) = (LotusCounter::default(), RunGuard::unlimited());
+    let run = LotusResult::default();
+    unstoppable(counter.run_phases(lg, &guard, &counts[..], window, crossover, run));
+    let mut out = vec![0u64; counts.len()];
+    for (new_id, count) in counts.into_iter().enumerate() {
+        out[lg.relabeling.old_id(new_id as u32) as usize] = count.into_inner();
     }
     out
 }

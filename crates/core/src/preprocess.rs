@@ -18,8 +18,6 @@
 //! relabeling picks hubs with a counting sort over degrees
 //! ([`lotus_graph::degree::top_k_by_degree`]).
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use rayon::prelude::*;
 
 use lotus_graph::{Csr, Relabeling, UndirectedCsr};
@@ -73,17 +71,6 @@ fn build_guarded_with(
     let n = graph.num_vertices();
     let hub_count = config.resolved_hub_count(n);
     let head_count = config.resolved_head_count(n);
-    let stopped = AtomicBool::new(false);
-    let poll = |v_new: u32| -> bool {
-        if stopped.load(Ordering::Relaxed) {
-            return true;
-        }
-        if v_new & 0x3ff == 0 && guard.should_stop().is_some() {
-            stopped.store(true, Ordering::Relaxed);
-            return true;
-        }
-        false
-    };
 
     // Line 1 of Algorithm 2: the relabeling array.
     let relabeling = Relabeling::hub_first(&graph.degrees(), head_count as usize);
@@ -92,16 +79,17 @@ fn build_guarded_with(
     // neighbour iff it lies below both `v` and `hub_count`.
     let mut he_deg = vec![0u32; n as usize];
     let mut nhe_deg = vec![0u32; n as usize];
+    let poll = guard.poll_every(1024);
     he_deg
         .par_iter_mut()
         .zip(nhe_deg.par_iter_mut())
         .with_min_len(PAR_GRAIN)
         .enumerate()
         .for_each(|(v_new, (he_d, nhe_d))| {
-            let v_new = v_new as u32;
-            if poll(v_new) {
+            if poll.stopped(v_new) {
                 return;
             }
+            let v_new = v_new as u32;
             rayon::sched::log_write(std::slice::from_ref(he_d), "preprocess.he_deg");
             rayon::sched::log_write(std::slice::from_ref(nhe_d), "preprocess.nhe_deg");
             let nbrs = graph.neighbors(relabeling.old_id(v_new));
@@ -118,9 +106,7 @@ fn build_guarded_with(
             *he_d = hubs;
             *nhe_d = lower - hubs;
         });
-    if let Some(reason) = stop_reason(guard, &stopped) {
-        return Err(reason);
-    }
+    poll.finish(()).map_err(|(reason, ())| reason)?;
     between_passes();
 
     let prefix = |deg: &[u32]| -> Vec<u64> {
@@ -145,6 +131,7 @@ fn build_guarded_with(
     let mut nhe_entries = vec![0u32; nhe_offsets.last().copied().unwrap_or(0) as usize];
     let h2h = TriBitArrayBuilder::new(hub_count);
 
+    let poll = guard.poll_every(1024);
     {
         let he_slices = split_by_offsets(&mut he_entries, &he_offsets);
         let nhe_slices = split_by_offsets(&mut nhe_entries, &nhe_offsets);
@@ -156,10 +143,10 @@ fn build_guarded_with(
             .for_each_init(
                 || Vec::with_capacity(SCRATCH_ENTRIES),
                 |lower: &mut Vec<u32>, (v_new, (he_out, nhe_out))| {
-                    let v_new = v_new as u32;
-                    if poll(v_new) {
+                    if poll.stopped(v_new) {
                         return;
                     }
+                    let v_new = v_new as u32;
                     rayon::sched::log_write(he_out, "preprocess.he_entries");
                     rayon::sched::log_write(nhe_out, "preprocess.nhe_entries");
                     let nbrs = graph.neighbors(relabeling.old_id(v_new));
@@ -190,9 +177,7 @@ fn build_guarded_with(
                 },
             );
     }
-    if let Some(reason) = stop_reason(guard, &stopped) {
-        return Err(reason);
-    }
+    poll.finish(()).map_err(|(reason, ())| reason)?;
 
     let he = Csr::from_parts(he_offsets, he_entries);
     let nhe = Csr::from_parts(nhe_offsets, nhe_entries);
@@ -214,15 +199,6 @@ fn build_guarded_with(
         lg.validate()
     );
     Ok(lg)
-}
-
-/// Resolves the stop flag set inside a parallel pass back to its reason.
-fn stop_reason(guard: &RunGuard, stopped: &AtomicBool) -> Option<StopReason> {
-    if stopped.load(Ordering::Relaxed) {
-        guard.should_stop()
-    } else {
-        None
-    }
 }
 
 /// Splits a flat array into per-vertex windows according to offsets.

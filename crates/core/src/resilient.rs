@@ -15,18 +15,15 @@
 #![allow(clippy::result_large_err)]
 
 use std::fmt;
-use std::time::Instant;
 
 use lotus_algos::forward_hashed::forward_hashed_count_guarded;
 use lotus_graph::UndirectedCsr;
-use lotus_resilience::{isolate, MemoryBudget, RunGuard};
-use lotus_telemetry::{span, Span, SpanId};
+use lotus_resilience::{MemoryBudget, RunGuard};
+use lotus_telemetry::span;
 
-use crate::breakdown::Breakdown;
 use crate::config::{HubCount, LotusConfig};
-use crate::count::{CountError, LotusCounter, LotusResult, Phase};
+use crate::count::{count_stage, CountError, LotusCounter, LotusResult, Phase};
 use crate::h2h::TriBitArray;
-use crate::stats::LotusStats;
 
 /// Conservative estimate, in bytes, of the peak [`LotusGraph`]
 /// footprint for a graph with `num_vertices` vertices and `num_edges`
@@ -158,47 +155,16 @@ pub fn count_with_budget(
         // it before the fallback driver starts, so telemetry keeps the
         // explanation even if the driver is later stopped or panics.
         span::record_degrade(&reason.to_string());
-        let degraded = Some(reason);
-        let start = Instant::now();
-        let outcome = isolate(|| {
-            let _span = Span::enter(SpanId::Fallback);
-            forward_hashed_count_guarded(graph, guard)
-        });
-        let breakdown = Breakdown {
-            nnn: start.elapsed(),
-            ..Breakdown::default()
-        };
-        let total = match outcome {
-            Ok(Ok(total)) => total,
-            Ok(Err((reason, partial))) => {
-                return Err(CountError::Interrupted {
-                    phase: Phase::Fallback,
-                    reason,
-                    partial: LotusStats {
-                        nnn: partial,
-                        ..LotusStats::default()
-                    },
-                    breakdown,
-                })
-            }
-            Err(panic) => {
-                return Err(CountError::PhasePanic {
-                    phase: Phase::Fallback,
-                    message: panic.message,
-                    partial: LotusStats::default(),
-                    breakdown,
-                })
-            }
-        };
+        let mut result = LotusResult::default();
+        count_stage(
+            Phase::Fallback,
+            &mut result,
+            || forward_hashed_count_guarded(graph, guard),
+            |s, c| s.nnn = c,
+        )?;
         return Ok(ResilientCount {
-            result: LotusResult {
-                stats: LotusStats {
-                    nnn: total,
-                    ..LotusStats::default()
-                },
-                breakdown,
-            },
-            degraded,
+            result,
+            degraded: Some(reason),
         });
     }
 

@@ -141,6 +141,66 @@ impl RunGuard {
         }
         None
     }
+
+    /// A [`LoopPoll`] for one parallel loop that polls this guard once
+    /// every `stride` items.
+    ///
+    /// # Panics
+    /// Panics when `stride` is not a power of two.
+    pub fn poll_every(&self, stride: usize) -> LoopPoll<'_> {
+        assert!(
+            stride.is_power_of_two(),
+            "stride {stride} is not a power of two"
+        );
+        LoopPoll {
+            guard: self,
+            mask: stride - 1,
+            stopped: AtomicBool::new(false),
+        }
+    }
+}
+
+/// The stop flag of one guarded parallel loop ([`RunGuard::poll_every`]).
+///
+/// Each worker asks [`LoopPoll::stopped`] before an item. An item whose
+/// loop index is a multiple of the stride polls the guard; the first
+/// poll that finds a stop condition raises the flag, and from then on
+/// every item on every worker is skipped. [`LoopPoll::finish`] turns what
+/// the loop accumulated into its result.
+#[derive(Debug)]
+pub struct LoopPoll<'a> {
+    guard: &'a RunGuard,
+    mask: usize,
+    stopped: AtomicBool,
+}
+
+impl LoopPoll<'_> {
+    /// Whether the item at loop index `i` must be skipped.
+    #[inline]
+    pub fn stopped(&self, i: usize) -> bool {
+        if self.stopped.load(Ordering::Relaxed) {
+            return true;
+        }
+        if i & self.mask == 0 && self.guard.should_stop().is_some() {
+            self.stopped.store(true, Ordering::Relaxed);
+            return true;
+        }
+        false
+    }
+
+    /// `Ok(value)` when the loop ran to the end, or the guard's stop
+    /// reason with `value` as the partial result when it stopped. Stop
+    /// conditions never clear, so the guard still reports the reason.
+    ///
+    /// # Errors
+    /// Returns the stop reason and the partial result when an item was
+    /// skipped.
+    pub fn finish<T>(self, value: T) -> Result<T, (StopReason, T)> {
+        match self.guard.should_stop() {
+            Some(reason) if self.stopped.into_inner() => Err((reason, value)),
+            _ => Ok(value),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -185,6 +245,50 @@ mod tests {
         assert_eq!(g.should_stop(), Some(StopReason::DeadlineExpired));
         token.cancel();
         assert_eq!(g.should_stop(), Some(StopReason::Cancelled));
+    }
+
+    /// Sums `0..n` under `guard`, as a guarded loop does, cancelling
+    /// `token` at item `cancel_at`.
+    fn guarded_sum(
+        guard: &RunGuard,
+        token: &CancelToken,
+        n: usize,
+        cancel_at: usize,
+    ) -> Result<usize, (StopReason, usize)> {
+        let poll = guard.poll_every(16);
+        let mut sum = 0;
+        for i in 0..n {
+            if i == cancel_at {
+                token.cancel();
+            }
+            if !poll.stopped(i) {
+                sum += i;
+            }
+        }
+        poll.finish(sum)
+    }
+
+    #[test]
+    fn a_loop_poll_stops_within_one_stride_and_keeps_the_partial_sum() {
+        let token = CancelToken::new();
+        let guard = RunGuard::unlimited().with_cancel(token.clone());
+        // Cancelled at item 21: items up to 31 still run, 32 polls.
+        let (reason, partial) = guarded_sum(&guard, &token, 100, 21).expect_err("cancelled");
+        assert_eq!(reason, StopReason::Cancelled);
+        assert_eq!(partial, (0..32).sum());
+    }
+
+    #[test]
+    fn a_loop_poll_under_an_unlimited_guard_runs_to_the_end() {
+        let guard = RunGuard::unlimited();
+        let sum = guarded_sum(&guard, &CancelToken::new(), 100, usize::MAX);
+        assert_eq!(sum, Ok((0..100).sum()));
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn a_loop_poll_stride_must_be_a_power_of_two() {
+        let _ = RunGuard::unlimited().poll_every(24);
     }
 
     #[test]

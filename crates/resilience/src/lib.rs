@@ -9,8 +9,9 @@
 //!
 //! * [`CancelToken`] / [`Deadline`] / [`RunGuard`] — cooperative
 //!   cancellation, checked by the counting kernels at tile/chunk
-//!   granularity. A stopped run returns a [`StopReason`] plus whatever
-//!   partial results were accumulated, instead of running forever.
+//!   granularity through one [`LoopPoll`] per parallel loop. A stopped
+//!   run returns a [`StopReason`] plus whatever partial results were
+//!   accumulated, instead of running forever.
 //! * [`MemoryBudget`] — a byte budget that callers compare against
 //!   pre-build footprint estimates so an oversized request degrades
 //!   (smaller hub set, leaner algorithm) instead of OOMing.
@@ -29,7 +30,7 @@ pub mod isolate;
 pub mod retry;
 
 pub use budget::MemoryBudget;
-pub use cancel::{CancelToken, Deadline, RunGuard, StopReason};
+pub use cancel::{CancelToken, Deadline, LoopPoll, RunGuard, StopReason};
 pub use isolate::{isolate, PanicCaught};
 pub use retry::{is_transient_io, RetryPolicy};
 
