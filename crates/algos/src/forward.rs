@@ -84,25 +84,15 @@ impl ForwardCounter {
 }
 
 /// Counts triangles of an already-oriented forward graph (each list holds
-/// only lower-ID neighbours, sorted ascending).
+/// only lower-ID neighbours, sorted ascending): [`count_oriented_guarded`]
+/// under [`RunGuard::unlimited`], which never stops it.
 pub fn count_oriented(forward: &Csr<u32>, kernel: IntersectKind) -> u64 {
-    (0..forward.num_vertices())
-        .into_par_iter()
-        .map(|v| {
-            let nv = forward.neighbors(v);
-            rayon::sched::log_read(nv, "forward.n_minus");
-            let mut local = 0u64;
-            for &u in nv {
-                local += kernel.count(nv, forward.neighbors(u));
-            }
-            local
-        })
-        .sum()
+    count_oriented_guarded(forward, kernel, &RunGuard::unlimited()).unwrap_or_else(|(_, v)| v)
 }
 
-/// Guarded variant of [`count_oriented`]: polls the guard every 256
-/// vertices. On a stop, returns the partial sum accumulated so far with
-/// the reason.
+/// Counts triangles of an oriented forward graph, polling the guard
+/// every 256 vertices. On a stop, returns the partial sum accumulated
+/// so far with the reason.
 ///
 /// # Errors
 /// Returns the guard's stop reason together with the partial sum

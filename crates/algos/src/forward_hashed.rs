@@ -34,29 +34,11 @@ impl ForwardHashedResult {
     }
 }
 
-/// Counts triangles of an oriented forward graph with per-vertex hash sets.
-///
-/// The hash set is part of the rayon fold accumulator, so each worker
-/// reuses one allocation across its whole vertex range.
+/// Counts triangles of an oriented forward graph with per-vertex hash
+/// sets: [`count_oriented_hashed_guarded`] under [`RunGuard::unlimited`],
+/// which never stops it.
 pub fn count_oriented_hashed(forward: &Csr<u32>) -> u64 {
-    (0..forward.num_vertices())
-        .into_par_iter()
-        .fold(
-            || (HashSide::<u32>::new(), 0u64),
-            |(mut side, mut total), v| {
-                let nv = forward.neighbors(v);
-                rayon::sched::log_read(nv, "forward_hashed.n_minus");
-                if nv.len() >= 2 {
-                    side.fill(nv);
-                    for &u in nv {
-                        total += side.count(forward.neighbors(u));
-                    }
-                }
-                (side, total)
-            },
-        )
-        .map(|(_, total)| total)
-        .sum()
+    count_oriented_hashed_guarded(forward, &RunGuard::unlimited()).unwrap_or_else(|(_, v)| v)
 }
 
 /// Runs forward-hashed TC end-to-end with degree ordering.
@@ -74,9 +56,10 @@ pub fn forward_hashed_count_timed(graph: &UndirectedCsr) -> ForwardHashedResult 
     }
 }
 
-/// Guarded variant of [`count_oriented_hashed`]: polls the guard every
-/// 256 vertices; each worker keeps its reusable hash set. On a stop,
-/// returns the partial sum with the reason.
+/// Counts triangles of an oriented forward graph with per-vertex hash
+/// sets, polling the guard every 256 vertices. The hash set is part of
+/// the fold accumulator, so each worker reuses one allocation across its
+/// whole vertex range. On a stop, returns the partial sum with the reason.
 ///
 /// # Errors
 /// Returns the guard's stop reason together with the partial sum

@@ -9,8 +9,6 @@
 //! are sorted ascending, so a vertex's *lower* neighbours (`N⁻`, the
 //! orientation used by the Forward algorithm) are a prefix of its list.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-
 use rayon::prelude::*;
 
 use crate::edge_list::EdgeList;
@@ -35,8 +33,7 @@ impl<N: NeighborId> Csr<N> {
         }
     }
 
-    /// Builds from per-vertex adjacency lists. Lists are used as-is (no
-    /// sorting); use [`Csr::sort_neighbor_lists`] afterwards if needed.
+    /// Builds from per-vertex adjacency lists, used as-is (not sorted).
     pub fn from_adjacency(lists: Vec<Vec<N>>) -> Self {
         let mut offsets = Vec::with_capacity(lists.len() + 1);
         offsets.push(0u64);
@@ -126,25 +123,6 @@ impl<N: NeighborId> Csr<N> {
             .map(move |v| (v, self.neighbors(v)))
     }
 
-    /// Sorts every neighbour list ascending, in parallel.
-    pub fn sort_neighbor_lists(&mut self) {
-        let offsets = &self.offsets;
-        // Split the flat array at list boundaries so each list sorts
-        // independently without aliasing.
-        let mut rest: &mut [N] = &mut self.neighbors;
-        let mut lists: Vec<&mut [N]> = Vec::with_capacity(offsets.len() - 1);
-        let mut consumed = 0u64;
-        for w in offsets.windows(2) {
-            let len = (w[1] - w[0]) as usize;
-            debug_assert_eq!(w[0], consumed);
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
-            lists.push(head);
-            rest = tail;
-            consumed += len as u64;
-        }
-        lists.par_iter_mut().for_each(|l| l.sort_unstable());
-    }
-
     /// Bytes of topology data: `8(|V| + 1)` for the index plus
     /// `N::BYTES · entries` for the neighbour array (paper §5.6 accounting).
     pub fn topology_bytes(&self) -> u64 {
@@ -174,8 +152,11 @@ pub struct UndirectedCsr {
 impl UndirectedCsr {
     /// Builds from a canonical edge list (see [`EdgeList::canonicalize`]).
     ///
-    /// Construction is parallel: atomic degree counting, prefix-sum offsets,
-    /// atomic-cursor scatter, then a parallel per-list sort.
+    /// One counting pass gives the degrees; one pass in edge order then
+    /// writes every list already sorted. The pairs come sorted by
+    /// `(u, v)` with `u < v`, so each vertex receives its lower neighbours
+    /// in ascending order, and all of them before its own run of pairs
+    /// appends its upper neighbours. No atomics, no per-list sort.
     ///
     /// # Panics
     /// Panics if the edge list is not canonical.
@@ -184,42 +165,27 @@ impl UndirectedCsr {
             edges.is_canonical(),
             "edge list must be canonicalized first"
         );
-        let n = edges.num_vertices() as usize;
         let pairs = edges.pairs();
-
-        let degrees: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        pairs.par_iter().for_each(|&(u, v)| {
-            degrees[u as usize].fetch_add(1, Ordering::Relaxed);
-            degrees[v as usize].fetch_add(1, Ordering::Relaxed);
-        });
-
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u64);
-        let mut acc = 0u64;
-        for d in &degrees {
-            acc += d.load(Ordering::Relaxed) as u64;
-            offsets.push(acc);
+        // `offsets[v + 1]` counts v's degree, then is the cursor where v's
+        // next neighbour goes, and ends as the end of v's list.
+        let mut offsets = vec![0u64; edges.num_vertices() as usize + 1];
+        for &(u, v) in pairs {
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
         }
-
-        let total = acc as usize;
-        let neighbors: Vec<AtomicU32> = (0..total).map(|_| AtomicU32::new(0)).collect();
-        let cursors: Vec<AtomicU64> = offsets[..n].iter().map(|&o| AtomicU64::new(o)).collect();
-        pairs.par_iter().for_each(|&(u, v)| {
-            let iu = cursors[u as usize].fetch_add(1, Ordering::Relaxed) as usize;
-            neighbors[iu].store(v, Ordering::Relaxed);
-            let iv = cursors[v as usize].fetch_add(1, Ordering::Relaxed) as usize;
-            neighbors[iv].store(u, Ordering::Relaxed);
-        });
-
-        // AtomicU32 and u32 share layout; unwrap the atomics now that the
-        // parallel scatter is complete.
-        let neighbors: Vec<u32> = neighbors
-            .into_iter()
-            .map(std::sync::atomic::AtomicU32::into_inner)
-            .collect();
-
-        let mut csr = Csr::from_parts(offsets, neighbors);
-        csr.sort_neighbor_lists();
+        let mut start = 0;
+        for slot in &mut offsets[1..] {
+            (start, *slot) = (start + *slot, start);
+        }
+        let mut neighbors = vec![0u32; 2 * pairs.len()];
+        for &(u, v) in pairs {
+            for (x, y) in [(u, v), (v, u)] {
+                let cursor = &mut offsets[x as usize + 1];
+                neighbors[*cursor as usize] = y;
+                *cursor += 1;
+            }
+        }
+        let csr = Csr::from_parts(offsets, neighbors);
         let g = Self {
             csr,
             num_edges: pairs.len() as u64,
@@ -453,15 +419,6 @@ mod tests {
         assert_eq!(csr.num_entries(), 3);
         assert_eq!(csr.topology_bytes(), 8 * 4 + 2 * 3);
         assert_eq!(csr.neighbors(0), &[1, 2]);
-    }
-
-    #[test]
-    fn sort_neighbor_lists_sorts_each_list() {
-        let mut csr = Csr::<u32>::from_adjacency(vec![vec![3, 1, 2], vec![5, 0]]);
-        assert!(!csr.lists_sorted());
-        csr.sort_neighbor_lists();
-        assert_eq!(csr.neighbors(0), &[1, 2, 3]);
-        assert_eq!(csr.neighbors(1), &[0, 5]);
     }
 
     #[test]

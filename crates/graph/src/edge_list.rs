@@ -94,12 +94,10 @@ impl EdgeList {
     /// The paper's preprocessing (Algorithm 2, lines 11–15) drops self-edges
     /// and symmetric duplicates in the same way.
     pub fn canonicalize(&mut self) {
-        self.edges.par_iter_mut().for_each(|e| {
-            if e.0 > e.1 {
-                *e = (e.1, e.0);
-            }
+        self.edges.retain_mut(|e| {
+            *e = (e.0.min(e.1), e.0.max(e.1));
+            e.0 != e.1
         });
-        self.edges.retain(|&(u, v)| u != v);
         self.edges.par_sort_unstable();
         self.edges.dedup();
     }

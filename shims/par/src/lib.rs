@@ -50,8 +50,9 @@ const CHUNKS_PER_THREAD: usize = 64;
 /// into chunks (see `split_chunks`).
 const SHRINK_STEP_BYTES: usize = 1 << 20;
 
-/// Slices shorter than this sort sequentially.
-const MIN_PAR_SORT: usize = 4096;
+/// Slices shorter than this sort sequentially (smaller under Miri, so
+/// that its tests still reach the parallel sort).
+const MIN_PAR_SORT: usize = if cfg!(miri) { 64 } else { 4096 };
 
 /// A composable transform applied to one contiguous chunk of source
 /// items. `base` is the chunk's offset in the original source, which
@@ -952,10 +953,10 @@ impl<T: Send + Sync> ParallelSliceMut<T> for [T] {
     }
 }
 
-/// Parallel index-permutation sort: chunked index sorts on the pool, a
-/// sequential round-based merge, then an in-place cycle-following
-/// permutation of the data. Ties break on the original index, so the
-/// result is deterministic for any thread count.
+/// In-place parallel sort: `select_nth_unstable_by` cuts the slice into
+/// one part per executor, every element of a part no greater than any
+/// of the next, and the pool sorts the parts. A total order therefore
+/// gives the same result for any thread count.
 fn par_sort_impl<T, F>(data: &mut [T], compare: F)
 where
     T: Send + Sync,
@@ -967,72 +968,17 @@ where
         data.sort_unstable_by(compare);
         return;
     }
-
-    let chunk_size = n.div_ceil(threads);
-    let idx_chunks: Vec<Vec<u32>> = (0..n)
-        .step_by(chunk_size)
-        .map(|lo| (lo as u32..(lo + chunk_size).min(n) as u32).collect())
-        .collect();
-    let shared: &[T] = data;
-    let by_index =
-        |i: u32, j: u32| compare(&shared[i as usize], &shared[j as usize]).then_with(|| i.cmp(&j));
-    let mut runs = pool::run(idx_chunks, |_, mut chunk| {
-        chunk.sort_unstable_by(|&i, &j| by_index(i, j));
-        chunk
-    });
-
-    // Merge runs pairwise in rounds (log k passes over the indices).
-    while runs.len() > 1 {
-        let mut next = Vec::with_capacity(runs.len().div_ceil(2));
-        let mut it = runs.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => next.push(merge_runs(a, b, &by_index)),
-                None => next.push(a),
-            }
-        }
-        runs = next;
+    let mut parts = Vec::with_capacity(threads);
+    let mut rest = data;
+    for k in 1..threads {
+        let cut = n * k / threads - (n - rest.len());
+        rest.select_nth_unstable_by(cut, &compare);
+        let (part, tail) = rest.split_at_mut(cut);
+        parts.push(part);
+        rest = tail;
     }
-    let Some(idx) = runs.pop() else {
-        return;
-    };
-
-    // `idx[i]` is where the element belonging at `i` currently lives;
-    // invert it so `pos[j]` is where the element at `j` must go, then
-    // follow swap cycles — `data[i] = old_data[idx[i]]` for every `i`.
-    let mut pos = vec![0u32; n];
-    for (i, &j) in idx.iter().enumerate() {
-        pos[j as usize] = i as u32;
-    }
-    for i in 0..n {
-        while pos[i] as usize != i {
-            let j = pos[i] as usize;
-            data.swap(i, j);
-            pos.swap(i, j);
-        }
-    }
-}
-
-/// Merges two sorted index runs.
-fn merge_runs<C: Fn(u32, u32) -> Ordering>(a: Vec<u32>, b: Vec<u32>, less: &C) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let mut ia = a.into_iter().peekable();
-    let mut ib = b.into_iter().peekable();
-    loop {
-        match (ia.peek(), ib.peek()) {
-            (Some(&x), Some(&y)) => {
-                if less(x, y) == Ordering::Greater {
-                    out.extend(ib.next());
-                } else {
-                    out.extend(ia.next());
-                }
-            }
-            (Some(_), None) => out.extend(ia.by_ref()),
-            (None, Some(_)) => out.extend(ib.by_ref()),
-            (None, None) => break,
-        }
-    }
-    out
+    parts.push(rest);
+    pool::run(parts, |_, part| part.sort_unstable_by(&compare));
 }
 
 /// The number of logical executors parallel work may currently use:
@@ -1175,21 +1121,34 @@ mod tests {
     }
 
     #[test]
-    fn par_sort_large_is_correct_on_the_pool() {
+    fn par_sort_matches_sequential_at_every_thread_count() {
         let _g = pool::limit_lock();
-        let pool = ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .expect("pool");
-        pool.install(|| {
-            let mut v: Vec<u64> = (0..20_000u64)
-                .map(|i| i.wrapping_mul(0x9E37) % 4096)
-                .collect();
-            let mut want = v.clone();
-            want.sort_unstable();
-            v.par_sort_unstable();
-            assert_eq!(v, want);
-        });
+        for n in [MIN_PAR_SORT - 1, MIN_PAR_SORT, MIN_PAR_SORT + 1] {
+            let inputs: [Vec<u64>; 4] = [
+                vec![7; n],
+                (0..n as u64).collect(),
+                (0..n as u64).rev().collect(),
+                (0..n as u64).map(|i| i.wrapping_mul(0x9E37) % 5).collect(),
+            ];
+            for input in inputs {
+                let mut up = input.clone();
+                up.sort_unstable();
+                let down: Vec<u64> = up.iter().rev().copied().collect();
+                for threads in 1..=4 {
+                    let pool = ThreadPoolBuilder::new().num_threads(threads).build();
+                    pool.expect("pool").install(|| {
+                        let mut v = input.clone();
+                        v.par_sort_unstable();
+                        assert_eq!(v, up, "n = {n}, {threads} threads");
+                        v.par_sort_unstable_by(|a, b| b.cmp(a));
+                        assert_eq!(v, down, "n = {n}, {threads} threads");
+                        v.clone_from(&input);
+                        v.par_sort_unstable_by_key(|&x| std::cmp::Reverse(x));
+                        assert_eq!(v, down, "n = {n}, {threads} threads");
+                    });
+                }
+            }
+        }
     }
 
     #[test]
