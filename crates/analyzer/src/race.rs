@@ -19,6 +19,7 @@
 //! a real overlapping window claim, proving the detector actually fires.
 
 use lotus_core::config::HubCount;
+use lotus_core::kclique::{count_oriented_kcliques, orient};
 use lotus_core::per_vertex::count_per_vertex;
 use lotus_core::preprocess::build_lotus_graph;
 use lotus_core::{LotusConfig, LotusCounter};
@@ -210,9 +211,17 @@ pub fn run_suite(seeds: &[u64]) -> RaceSuiteReport {
             .count_guarded(g, &RunGuard::unlimited())
             .map_or(u64::MAX, |r| r.total())
     });
+    // An FNV-1a hash of the whole vector: a corner credited to the wrong
+    // vertex changes it, where the sum would not.
     scenario("per-vertex", &|g| {
         let lg = build_lotus_graph(g, &config());
-        count_per_vertex(&lg).iter().sum()
+        let fnv = |h: u64, &c: &u64| (h ^ c).wrapping_mul(0x100_0000_01b3);
+        count_per_vertex(&lg)
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, fnv)
+    });
+    scenario("kclique-4", &|g| {
+        count_oriented_kcliques(&orient(&build_lotus_graph(g, &config())), 4)
     });
     scenario("forward", &|g| lotus_algos::forward_count(g));
     scenario("forward-hashed", &|g| {

@@ -7,7 +7,7 @@ use lotus_analyzer::{planted_overlap, run_suite, FIXED_SEEDS};
 #[test]
 fn shipped_kernels_clean_under_all_fixed_seeds() {
     let suite = run_suite(&FIXED_SEEDS);
-    assert_eq!(suite.outcomes.len(), 5 * FIXED_SEEDS.len());
+    assert_eq!(suite.outcomes.len(), 6 * FIXED_SEEDS.len());
     for o in &suite.outcomes {
         assert!(
             o.race.is_clean(),
@@ -79,5 +79,5 @@ fn suite_report_json_parses() {
         .get("outcomes")
         .and_then(|v| v.as_array())
         .expect("outcomes array");
-    assert_eq!(outcomes.len(), 5);
+    assert_eq!(outcomes.len(), 6);
 }

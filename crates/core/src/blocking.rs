@@ -31,8 +31,9 @@ pub fn count_hnn_blocked(lg: &LotusGraph, block_bits: u32) -> u64 {
         let hi = ((b + 1) * block).min(n as u64) as u32;
         total += fold_vertices(
             lg,
-            || ChunkBitmaps::hubs(lg),
-            |s, v| {
+            &(),
+            || ChunkBitmaps::new(lg, true, 0),
+            |s, (), v| {
                 let nhe_v = lg.nonhub_neighbors(v);
                 // Contiguous sub-slice of neighbours inside [lo, hi).
                 let start = nhe_v.partition_point(|&u| u < lo);

@@ -414,18 +414,32 @@ pub(crate) fn count_stage<C>(
 }
 
 /// Where a phase sends the corners of each triangle it finds, besides
-/// counting it. Counting passes `()`, which drops them, so the phase
-/// loops compile as if there were no sink; per-vertex counting passes
-/// one counter per vertex ([`crate::per_vertex`]).
+/// counting it. Each pool chunk credits a tally of its own, which is
+/// flushed into the sink once, when the chunk ends. Counting passes `()`,
+/// which drops the corners, so the phase loops compile as if there were
+/// no sink; per-vertex counting passes one counter per vertex
+/// ([`crate::per_vertex`]).
 pub(crate) trait Corners: Sync {
+    /// A pool chunk's own tally.
+    type Tally: Send;
+
+    /// A fresh tally for one chunk.
+    fn tally(&self) -> Self::Tally;
+
     /// Credits one triangle to each of its corners `a`, `b` and `c`
     /// (new IDs).
-    fn credit(&self, a: u32, b: u32, c: u32);
+    fn credit(tally: &mut Self::Tally, a: u32, b: u32, c: u32);
+
+    /// Adds a chunk's tally into the sink.
+    fn flush(&self, tally: Self::Tally);
 }
 
 impl Corners for () {
+    type Tally = ();
+    fn tally(&self) {}
     #[inline(always)]
-    fn credit(&self, _: u32, _: u32, _: u32) {}
+    fn credit((): &mut (), _: u32, _: u32, _: u32) {}
+    fn flush(&self, (): ()) {}
 }
 
 /// A phase's result: complete, or partial with the reason it stopped.
@@ -444,14 +458,15 @@ pub(crate) fn hub_pairs<S: Corners + ?Sized>(
     let poll = guard.poll_every(16);
     let found = fold_chunks(
         tiles.par_iter().with_min_len(PAR_GRAIN).enumerate(),
-        || ChunkBitmaps::hubs(lg),
-        |s, (i, t)| {
+        corners,
+        || ChunkBitmaps::new(lg, true, 0),
+        |s, tally, (i, t)| {
             if poll.stopped(i) {
                 return (0, 0);
             }
             let he = lg.hub_neighbors(t.v);
             let found = hub_pairs_tile(&lg.h2h, &mut s.hubs, he, t, crossover, |h1, h2| {
-                corners.credit(t.v, h1.into(), h2.into());
+                S::credit(tally, t.v, h1.into(), h2.into());
             });
             // A hub's pairs close HHH triangles, a non-hub's HHN ones.
             if lg.is_hub(t.v) {
@@ -470,13 +485,14 @@ fn hnn<S: Corners + ?Sized>(lg: &LotusGraph, guard: &RunGuard, corners: &S) -> G
     let poll = guard.poll_every(256);
     let found = fold_vertices(
         lg,
-        || ChunkBitmaps::hubs(lg),
-        |s, v| {
+        corners,
+        || ChunkBitmaps::new(lg, true, 0),
+        |s, tally, v| {
             if poll.stopped(v as usize) {
                 return 0;
             }
             hnn_vertex(lg, &mut s.hubs, v, lg.nonhub_neighbors(v), |u, h| {
-                corners.credit(v, u, h.into());
+                S::credit(tally, v, u, h.into());
             })
         },
         |a, b| a + b,
@@ -495,12 +511,13 @@ pub(crate) fn nnn<S: Corners + ?Sized>(
     let poll = guard.poll_every(256);
     let found = fold_vertices(
         lg,
-        || ChunkBitmaps::nnn(lg, window),
-        |s, v| {
+        corners,
+        || ChunkBitmaps::new(lg, false, window),
+        |s, tally, v| {
             if poll.stopped(v as usize) {
                 return 0;
             }
-            nnn_vertex(lg, &mut s.window, v, |u, w| corners.credit(v, u, w))
+            nnn_vertex(lg, &mut s.window, v, |u, w| S::credit(tally, v, u, w))
         },
         |a, b| a + b,
     );
@@ -520,16 +537,17 @@ pub(crate) fn hnn_nnn_fused<S: Corners + ?Sized>(
     let poll = guard.poll_every(256);
     let found = fold_vertices(
         lg,
-        || ChunkBitmaps::fused(lg, window),
-        |s, v| {
+        corners,
+        || ChunkBitmaps::new(lg, true, window),
+        |s, tally, v| {
             if poll.stopped(v as usize) {
                 return (0, 0);
             }
             let nhe_v = lg.nonhub_neighbors(v);
             let hnn = hnn_vertex(lg, &mut s.hubs, v, nhe_v, |u, h| {
-                corners.credit(v, u, h.into());
+                S::credit(tally, v, u, h.into());
             });
-            let nnn = nnn_vertex(lg, &mut s.window, v, |u, w| corners.credit(v, u, w));
+            let nnn = nnn_vertex(lg, &mut s.window, v, |u, w| S::credit(tally, v, u, w));
             (hnn, nnn)
         },
         |a, b| (a.0 + b.0, a.1 + b.1),

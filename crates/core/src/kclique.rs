@@ -10,11 +10,13 @@
 
 use rayon::prelude::*;
 
+use lotus_algos::intersect::{count_merge, merge::merge_for_each};
 use lotus_graph::{Csr, UndirectedCsr};
 
 use crate::config::LotusConfig;
 use crate::count::PAR_GRAIN;
 use crate::preprocess::build_lotus_graph;
+use crate::structure::LotusGraph;
 
 /// Counts k-cliques. `k = 1` returns `|V|`, `k = 2` returns `|E|`.
 pub fn count_kcliques(graph: &UndirectedCsr, k: usize) -> u64 {
@@ -29,6 +31,21 @@ pub fn count_kcliques(graph: &UndirectedCsr, k: usize) -> u64 {
     }
 }
 
+/// The forward orientation of `lg` that k-clique counting enumerates
+/// on: N⁻(v) is HE(v) followed by NHE(v), in LOTUS IDs, so every list is
+/// sorted (hub IDs lie below all others). Built without relabeling, so
+/// the daemon keeps one per resident graph.
+pub fn orient(lg: &LotusGraph) -> Csr<u32> {
+    let (he, nhe) = (lg.he.offsets(), lg.nhe.offsets());
+    let offsets = he.iter().zip(nhe).map(|(a, b)| a + b).collect();
+    let mut entries = Vec::with_capacity((lg.he_edges() + lg.nhe_edges()) as usize);
+    for v in 0..lg.num_vertices() {
+        entries.extend(lg.hub_neighbors(v).iter().map(|&h| u32::from(h)));
+        entries.extend_from_slice(lg.nonhub_neighbors(v));
+    }
+    Csr::from_parts(offsets, entries)
+}
+
 /// Counts k-cliques (k ≥ 3) of an oriented forward graph.
 pub fn count_oriented_kcliques(forward: &Csr<u32>, k: usize) -> u64 {
     assert!(k >= 3);
@@ -37,37 +54,36 @@ pub fn count_oriented_kcliques(forward: &Csr<u32>, k: usize) -> u64 {
         .with_min_len(PAR_GRAIN)
         .map(|v| {
             let cand = forward.neighbors(v);
+            rayon::sched::log_read(cand, "kclique.n_minus");
             if cand.len() + 1 < k {
                 return 0;
             }
-            let mut scratch = vec![Vec::new(); k - 2];
+            let mut scratch = vec![Vec::new(); k - 3];
             extend_clique(forward, cand, k - 1, &mut scratch)
         })
         .sum()
 }
 
-/// Recursive extension: `depth` more vertices must come from `cand`.
-///
-/// Every vertex of a clique is picked through `cand ∩ N⁻(u)`, which only
-/// contains IDs below `u` — each clique is therefore enumerated exactly
-/// once, in descending ID order.
+/// Counts the ways to pick `depth ≥ 2` more vertices from `cand`, a
+/// clique's common candidates: each vertex `u` of a clique is picked
+/// through `cand ∩ N⁻(u)`, which only holds IDs below `u`, so each
+/// clique is enumerated exactly once, in descending ID order. The last
+/// level counts its intersections without building them.
 fn extend_clique(forward: &Csr<u32>, cand: &[u32], depth: usize, scratch: &mut [Vec<u32>]) -> u64 {
-    if depth == 1 {
-        return cand.len() as u64;
-    }
-    // The caller sizes `scratch` to the recursion depth; an empty slice
-    // can only mean there is nothing left to extend.
-    let Some((head, tail)) = scratch.split_first_mut() else {
-        return 0;
-    };
     let mut total = 0u64;
-    for &u in cand {
-        head.clear();
-        intersect_into(cand, forward.neighbors(u), head);
-        if head.len() + 1 >= depth {
-            let sub = std::mem::take(head);
-            total += extend_clique(forward, &sub, depth - 1, tail);
-            *head = sub;
+    for (i, &u) in cand.iter().enumerate() {
+        // Only the candidates before `u` can lie in N⁻(u).
+        let (below, n_u) = (&cand[..i], forward.neighbors(u));
+        if depth == 2 {
+            total += count_merge(below, n_u);
+        } else if let Some((head, tail)) = scratch.split_first_mut() {
+            head.clear();
+            intersect_into(below, n_u, head);
+            if head.len() + 1 >= depth {
+                let sub = std::mem::take(head);
+                total += extend_clique(forward, &sub, depth - 1, tail);
+                *head = sub;
+            }
         }
     }
     total
@@ -75,21 +91,7 @@ fn extend_clique(forward: &Csr<u32>, cand: &[u32], depth: usize, scratch: &mut [
 
 /// Merge intersection into a reusable output buffer.
 fn intersect_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
-    let mut i = 0;
-    let mut j = 0;
-    while i < a.len() && j < b.len() {
-        let x = a[i];
-        let y = b[j];
-        if x < y {
-            i += 1;
-        } else if y < x {
-            j += 1;
-        } else {
-            out.push(x);
-            i += 1;
-            j += 1;
-        }
-    }
+    merge_for_each(a, b, |x| out.push(x));
 }
 
 /// k-clique counts split by whether the clique touches a hub, using the
@@ -146,6 +148,52 @@ mod tests {
 
     fn binomial(n: u64, k: u64) -> u64 {
         (0..k).fold(1u64, |acc, i| acc * (n - i) / (i + 1))
+    }
+
+    /// Every k-subset of the vertices whose pairs are all edges.
+    fn brute_force(g: &UndirectedCsr, k: usize) -> u64 {
+        fn extend(g: &UndirectedCsr, clique: &mut Vec<u32>, next: u32, k: usize) -> u64 {
+            if clique.len() == k {
+                return 1;
+            }
+            let mut found = 0;
+            for v in next..g.num_vertices() {
+                if clique.iter().all(|&u| g.has_edge(u, v)) {
+                    clique.push(v);
+                    found += extend(g, clique, v + 1, k);
+                    clique.pop();
+                }
+            }
+            found
+        }
+        extend(g, &mut Vec::new(), 0, k)
+    }
+
+    /// The count-only enumerator on the LOTUS orientation, and the
+    /// degree-ordered one, against brute force for k = 3, 4 and 5.
+    #[test]
+    fn enumerators_match_brute_force() {
+        let graphs = [
+            ("K6", complete_graph(6)),
+            ("rmat", lotus_gen::Rmat::new(5, 6).generate(3)),
+            ("er", lotus_gen::ErdosRenyi::new(24, 120).generate(8)),
+        ];
+        for (what, g) in &graphs {
+            for hubs in [0u32, 2, 8] {
+                let cfg =
+                    LotusConfig::default().with_hub_count(crate::config::HubCount::Fixed(hubs));
+                let forward = orient(&build_lotus_graph(g, &cfg));
+                for k in 3..=5 {
+                    let want = brute_force(g, k);
+                    if *what == "K6" {
+                        assert_eq!(want, binomial(6, k as u64));
+                    }
+                    let at = format!("{what} hubs {hubs} k {k}");
+                    assert_eq!(count_oriented_kcliques(&forward, k), want, "{at}");
+                    assert_eq!(count_kcliques(g, k), want, "{at}");
+                }
+            }
+        }
     }
 
     #[test]

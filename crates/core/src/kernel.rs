@@ -37,7 +37,7 @@ use lotus_graph::VertexId;
 #[cfg(feature = "telemetry")]
 use lotus_telemetry::{counters, Counter};
 
-use crate::count::PAR_GRAIN;
+use crate::count::{Corners, PAR_GRAIN};
 use crate::h2h::TriBitArray;
 use crate::structure::LotusGraph;
 use crate::tiling::Tile;
@@ -61,71 +61,75 @@ pub(crate) struct ChunkBitmaps {
 }
 
 impl ChunkBitmaps {
-    /// Bitmaps for a phase-1 or HNN pass: the hub set only.
-    pub(crate) fn hubs(lg: &LotusGraph) -> Self {
+    /// Bitmaps for one pass: the hub set when `hubs` (phase 1 and HNN),
+    /// and a `window`-bit NNN window, none when `window` is 0 (NNN takes
+    /// [`NNN_WINDOW`] outside tests).
+    pub(crate) fn new(lg: &LotusGraph, hubs: bool, window: usize) -> Self {
         Self {
-            hubs: Bitmap::new(lg.hub_count as usize),
-            window: Bitmap::new(0),
-        }
-    }
-
-    /// Bitmaps for an NNN pass with a `window`-bit window
-    /// ([`NNN_WINDOW`] outside tests).
-    pub(crate) fn nnn(lg: &LotusGraph, window: usize) -> Self {
-        Self {
-            hubs: Bitmap::new(0),
+            hubs: Bitmap::new(if hubs { lg.hub_count as usize } else { 0 }),
             window: Bitmap::new(window.min(lg.num_vertices() as usize)),
-        }
-    }
-
-    /// Bitmaps for a fused HNN + NNN pass: both bitmaps.
-    pub(crate) fn fused(lg: &LotusGraph, window: usize) -> Self {
-        Self {
-            hubs: Bitmap::new(lg.hub_count as usize),
-            ..Self::nnn(lg, window)
         }
     }
 }
 
 /// Runs `body` on every vertex of `lg` on the pool, at least
 /// [`PAR_GRAIN`] vertices per chunk, as [`fold_chunks`] does.
-pub(crate) fn fold_vertices<R, S, B, C>(lg: &LotusGraph, bitmaps: S, body: B, combine: C) -> R
+pub(crate) fn fold_vertices<R, K, S, B, C>(
+    lg: &LotusGraph,
+    corners: &K,
+    bitmaps: S,
+    body: B,
+    combine: C,
+) -> R
 where
     R: Default + Send,
+    K: Corners + ?Sized,
     S: Fn() -> ChunkBitmaps + Sync + Send,
-    B: Fn(&mut ChunkBitmaps, VertexId) -> R + Sync + Send,
+    B: Fn(&mut ChunkBitmaps, &mut K::Tally, VertexId) -> R + Sync + Send,
     C: Fn(R, R) -> R + Sync + Send,
 {
-    let vertices = (0..lg.num_vertices()).into_par_iter();
-    fold_chunks(vertices.with_min_len(PAR_GRAIN), bitmaps, body, combine)
+    let vertices = (0..lg.num_vertices())
+        .into_par_iter()
+        .with_min_len(PAR_GRAIN);
+    fold_chunks(vertices, corners, bitmaps, body, combine)
 }
 
 /// Runs `body` on every item of `items` on the pool. Each chunk owns one
 /// [`ChunkBitmaps`], made by `bitmaps`, that `body` may mark and must
-/// leave all-zero again. The per-item results are combined with
-/// `combine`, starting from `R::default()`.
-pub(crate) fn fold_chunks<P, R, S, B, C>(items: P, bitmaps: S, body: B, combine: C) -> R
+/// leave all-zero again, and one tally of `corners`, which `body` credits
+/// and which is flushed into `corners` when the chunk ends: at most one
+/// chunk's state per executor is alive at a time. The per-item results
+/// are combined with `combine`, starting from `R::default()`.
+pub(crate) fn fold_chunks<P, R, K, S, B, C>(
+    items: P,
+    corners: &K,
+    bitmaps: S,
+    body: B,
+    combine: C,
+) -> R
 where
     P: ParallelIterator,
     R: Default + Send,
+    K: Corners + ?Sized,
     S: Fn() -> ChunkBitmaps + Sync + Send,
-    B: Fn(&mut ChunkBitmaps, P::Item) -> R + Sync + Send,
+    B: Fn(&mut ChunkBitmaps, &mut K::Tally, P::Item) -> R + Sync + Send,
     C: Fn(R, R) -> R + Sync + Send,
 {
     let combine = &combine;
     items
         .fold(
-            || (bitmaps(), R::default()),
-            |(mut s, acc), item| {
-                let found = body(&mut s, item);
-                (s, combine(acc, found))
+            || (bitmaps(), corners.tally(), R::default()),
+            |(mut s, mut tally, acc), item| {
+                let found = body(&mut s, &mut tally, item);
+                (s, tally, combine(acc, found))
             },
         )
-        .map(|(s, acc)| {
+        .map(|(s, tally, acc)| {
             debug_assert!(
                 s.hubs.is_all_zero() && s.window.is_all_zero(),
                 "a chunk left bits set"
             );
+            corners.flush(tally);
             acc
         })
         .reduce(R::default, combine)
@@ -351,7 +355,7 @@ pub(crate) fn nnn_vertex(
 mod tests {
     use super::*;
     use crate::config::{HubCount, LotusConfig};
-    use crate::count::{count_single_tile, hnn_nnn_fused, hub_pairs, nnn};
+    use crate::count::{count_single_tile, hnn_nnn_fused, hub_pairs, nnn, LotusCounter};
     use crate::per_vertex::count_per_vertex_in;
     use crate::preprocess::build_lotus_graph;
     use crate::tiling::{make_tiles, SqrtFractions};
@@ -392,7 +396,7 @@ mod tests {
         let fused = hnn_nnn_fused(&lg, &unlimited, window, &()).map(|(_, nnn)| nnn);
         assert_eq!(fused, Ok(want), "{what} hubs {hubs}: fused");
         assert_eq!(
-            count_per_vertex_in(&lg, window, PAIR_PROBE_CROSSOVER),
+            count_per_vertex_in(&lg, &LotusCounter::default(), window, PAIR_PROBE_CROSSOVER),
             lotus_algos::forward::per_vertex_counts(g),
             "{what} hubs {hubs}: per vertex"
         );
@@ -615,7 +619,8 @@ mod tests {
                     let at = format!("{what} hubs {hubs} crossover {crossover}");
                     let found = hub_pairs(&lg, &tiles, &RunGuard::unlimited(), crossover, &());
                     assert_eq!(found, Ok(want), "{at}: count");
-                    let counts = count_per_vertex_in(&lg, NNN_WINDOW, crossover);
+                    let counts =
+                        count_per_vertex_in(&lg, &LotusCounter::default(), NNN_WINDOW, crossover);
                     assert_eq!(counts, per_vertex, "{at}: per vertex");
                 }
                 let single: u64 = tiles

@@ -410,9 +410,9 @@ struct Conn {
     next_to_flush: u64,
     /// Pool jobs outstanding for this connection.
     inflight: usize,
-    /// Timer generation; bumped on every read progress, so stale wheel
-    /// entries can never evict a live connection.
-    gen: u64,
+    /// When the socket last yielded bytes: the idle timer's one wheel
+    /// entry is re-armed from here when it fires.
+    last_read: Instant,
     /// The peer half-closed: buffered frames are still answered.
     eof: bool,
     /// No more parsing: framing damage, a `Drain` reply, or shutdown.
@@ -422,14 +422,14 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Conn {
+    fn new(stream: TcpStream, now: Instant) -> Conn {
         Conn {
             io: FramedConn::new(stream),
             pending: BTreeMap::new(),
             next_seq: 0,
             next_to_flush: 0,
             inflight: 0,
-            gen: 0,
+            last_read: now,
             eof: false,
             read_closed: false,
             dead: false,
@@ -538,7 +538,7 @@ fn event_loop<H: Handler>(poller: &Poller, shared: &Arc<LoopShared>, handler: &A
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut wheel = TimerWheel::new(WHEEL_GRANULARITY, WHEEL_SLOTS, Instant::now());
     let mut events = Events::with_capacity(256);
-    let mut fired: Vec<(u64, u64)> = Vec::new();
+    let mut fired: Vec<u64> = Vec::new();
     let mut next_token = FIRST_CONN_TOKEN;
     let mut draining_since: Option<Instant> = None;
 
@@ -573,7 +573,7 @@ fn event_loop<H: Handler>(poller: &Poller, shared: &Arc<LoopShared>, handler: &A
                 conn.flush();
             }
             if readable || closed {
-                pump_reads(conn, token, &ctx, &mut wheel, now);
+                pump_reads(conn, token, &ctx, now);
             }
             conn.refresh(poller, token, config);
         }
@@ -588,7 +588,7 @@ fn event_loop<H: Handler>(poller: &Poller, shared: &Arc<LoopShared>, handler: &A
         for stream in adopted {
             let token = next_token;
             next_token += 1;
-            let mut conn = Conn::new(stream);
+            let mut conn = Conn::new(stream, now);
             if conn
                 .io
                 .register(poller, Token(token), Interest::READ)
@@ -597,11 +597,11 @@ fn event_loop<H: Handler>(poller: &Poller, shared: &Arc<LoopShared>, handler: &A
                 engine.close_conn();
                 continue;
             }
-            wheel.arm(now, config.idle_timeout, token, conn.gen);
+            wheel.arm(now, config.idle_timeout, token);
             // Bytes may have arrived before registration; with a
             // level-triggered poller a missed edge costs nothing, but
             // serving them now saves one wait.
-            pump_reads(&mut conn, token, &ctx, &mut wheel, now);
+            pump_reads(&mut conn, token, &ctx, now);
             conn.refresh(poller, token, config);
             conns.insert(token, conn);
         }
@@ -628,22 +628,17 @@ fn event_loop<H: Handler>(poller: &Poller, shared: &Arc<LoopShared>, handler: &A
 
         // 4. Timer wheel: evict idle / slow-loris connections.
         wheel.advance(now, &mut fired);
-        for (token, gen) in fired.drain(..) {
+        for token in fired.drain(..) {
             let Some(conn) = conns.get_mut(&token) else {
                 continue;
             };
-            if conn.gen != gen {
-                continue; // stale entry; the connection made progress
-            }
-            if conn.idle() && !conn.read_closed {
+            let evictable = conn.idle() && !conn.read_closed;
+            match idle_rearm(conn.last_read, now, config.idle_timeout, evictable) {
+                Some(after) => wheel.arm(now, after, token),
                 // No read progress for a full idle timeout and nothing
                 // owed: evict silently (slow-loris sockets land here
                 // with a half-received frame buffered).
-                conn.dead = true;
-            } else {
-                // Still working (long count, slow flush): re-arm.
-                conn.gen += 1;
-                wheel.arm(now, config.idle_timeout, token, conn.gen);
+                None => conn.dead = true,
             }
         }
 
@@ -687,22 +682,28 @@ fn event_loop<H: Handler>(poller: &Poller, shared: &Arc<LoopShared>, handler: &A
     }
 }
 
+/// What a connection's idle entry does when it fires: `Some(after)`
+/// re-arms it that far ahead, `None` evicts the connection. A read since
+/// the entry was armed moves the deadline to `read + timeout`, the last
+/// read's; a connection quiet for a whole timeout is evicted when
+/// `evictable`, and re-armed for a full timeout while it owes responses.
+fn idle_rearm(read: Instant, now: Instant, timeout: Duration, evictable: bool) -> Option<Duration> {
+    let quiet = now.saturating_duration_since(read);
+    match timeout.checked_sub(quiet) {
+        Some(left) if !left.is_zero() => Some(left),
+        _ if evictable => None,
+        _ => Some(timeout),
+    }
+}
+
 /// Reads up to [`READ_BUDGET`] bytes off the socket, parses the frames
 /// that completed, and flushes whatever got answered inline.
-fn pump_reads<H: Handler>(
-    conn: &mut Conn,
-    token: u64,
-    ctx: &LoopCtx<'_, H>,
-    wheel: &mut TimerWheel,
-    now: Instant,
-) {
+fn pump_reads<H: Handler>(conn: &mut Conn, token: u64, ctx: &LoopCtx<'_, H>, now: Instant) {
     if conn.wants_read(&ctx.config) {
         match conn.io.fill(READ_BUDGET) {
             Ok(inbound) => {
                 if inbound.bytes > 0 {
-                    // Read progress: re-arm the idle timer.
-                    conn.gen += 1;
-                    wheel.arm(now, ctx.config.idle_timeout, token, conn.gen);
+                    conn.last_read = now;
                 }
                 // EOF: buffered frames are still answered; a truncated
                 // remainder is unanswerable and simply dropped, and
@@ -775,5 +776,56 @@ fn dispatch<H: Handler>(conn: &mut Conn, token: u64, request: Request, ctx: &Loo
         conn.inflight += 1;
     } else {
         conn.queue_frame(seq, encode_frame(&engine.refuse()));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A connection that reads every 10 ms keeps one wheel entry, and is
+    /// evicted one timeout after its last read, never before.
+    #[test]
+    fn one_idle_entry_per_connection_fires_from_the_last_read() {
+        let start = Instant::now();
+        let timeout = Duration::from_millis(200);
+        let mut wheel = TimerWheel::new(Duration::from_millis(5), 16, start);
+        wheel.arm(start, timeout, 7);
+        let (mut last_read, mut fired, mut evicted) = (start, Vec::new(), None);
+        for step in 1..=200u64 {
+            let now = start + Duration::from_millis(10 * step);
+            // Reads for one second, then silence.
+            if step <= 100 {
+                last_read = now;
+            }
+            wheel.advance(now, &mut fired);
+            for token in fired.drain(..) {
+                assert_eq!(token, 7);
+                match idle_rearm(last_read, now, timeout, true) {
+                    Some(after) => wheel.arm(now, after, token),
+                    None => evicted = evicted.or(Some(now)),
+                }
+            }
+            assert!(wheel.armed() <= 1, "step {step}: {} entries", wheel.armed());
+        }
+        let quiet = evicted.expect("never evicted").duration_since(last_read);
+        assert!(quiet >= timeout, "evicted {quiet:?} after the last read");
+        assert!(quiet <= timeout + Duration::from_millis(20), "{quiet:?}");
+    }
+
+    #[test]
+    fn a_quiet_connection_that_owes_responses_is_re_armed() {
+        let last_read = Instant::now();
+        let timeout = Duration::from_secs(60);
+        let later = |s| last_read + Duration::from_secs(s);
+        assert_eq!(
+            idle_rearm(last_read, later(20), timeout, true),
+            Some(later(60) - later(20))
+        );
+        assert_eq!(idle_rearm(last_read, later(60), timeout, true), None);
+        assert_eq!(
+            idle_rearm(last_read, later(61), timeout, false),
+            Some(timeout)
+        );
     }
 }

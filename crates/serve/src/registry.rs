@@ -14,11 +14,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError};
 
+use lotus_core::kclique::orient;
 use lotus_core::preprocess::build_lotus_graph;
 use lotus_core::{LotusConfig, LotusGraph};
 use lotus_gen::{ErdosRenyi, Rmat};
 use lotus_graph::io::{load_binary, load_edge_list_text};
-use lotus_graph::UndirectedCsr;
+use lotus_graph::{Csr, UndirectedCsr};
 use lotus_resilience::MemoryBudget;
 use lotus_telemetry::{counters, Counter};
 
@@ -33,8 +34,32 @@ pub struct PreparedGraph {
     pub lotus: LotusGraph,
     /// Configuration the structures were built with.
     pub config: LotusConfig,
-    /// Bytes charged against the registry budget (CSR + LOTUS topology).
+    /// The forward orientation `KClique` requests with k ≥ 4 enumerate.
+    pub cliques: Csr<u32>,
+    /// Bytes charged against the registry budget (CSR + LOTUS topology
+    /// + clique orientation).
     pub bytes: u64,
+}
+
+impl PreparedGraph {
+    /// Prepares `graph` to be served as `name`: the LOTUS structures of
+    /// Algorithm 2 under [`LotusConfig::auto`], the clique orientation
+    /// built from them, and the bytes all three charge.
+    #[must_use]
+    pub fn new(name: &str, graph: UndirectedCsr) -> PreparedGraph {
+        let config = LotusConfig::auto(&graph);
+        let lotus = build_lotus_graph(&graph, &config);
+        let cliques = orient(&lotus);
+        let bytes = graph.topology_bytes() + lotus.topology_bytes() + cliques.topology_bytes();
+        PreparedGraph {
+            name: name.to_string(),
+            graph,
+            lotus,
+            config,
+            cliques,
+            bytes,
+        }
+    }
 }
 
 /// How a graph may be sourced, parsed from the wire spec string.
@@ -316,23 +341,7 @@ impl Registry {
         let parsed = GraphSpec::parse(spec).map_err(RegistryError::BadSpec)?;
         self.misses.fetch_add(1, Ordering::Relaxed);
         counters::incr(Counter::RegistryMisses);
-        let graph = build_graph(&parsed)?;
-        let config = LotusConfig::auto(&graph);
-        let lotus = build_lotus_graph(&graph, &config);
-        let bytes = graph.topology_bytes() + lotus.topology_bytes();
-        if !self.budget.fits(bytes) {
-            return Err(RegistryError::OverBudget {
-                need: bytes,
-                budget: self.budget.bytes(),
-            });
-        }
-        let prepared = Arc::new(PreparedGraph {
-            name: name.to_string(),
-            graph,
-            lotus,
-            config,
-            bytes,
-        });
+        let prepared = Arc::new(PreparedGraph::new(name, build_graph(&parsed)?));
         let evicted = self.insert_prepared(Arc::clone(&prepared))?;
         Ok((prepared, evicted))
     }

@@ -25,10 +25,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use lotus_core::preprocess::build_lotus_graph;
-use lotus_core::{
-    kclique::count_kcliques, per_vertex::count_per_vertex, CountError, LotusConfig, LotusCounter,
-};
+use lotus_core::kclique::{count_kcliques, count_oriented_kcliques};
+use lotus_core::{per_vertex::count_per_vertex, CountError, LotusCounter};
 use lotus_graph::UndirectedCsr;
 use lotus_resilience::{isolate, Deadline, MemoryBudget, RunGuard, StopReason};
 use lotus_telemetry::{counters, Counter, Span, SpanId};
@@ -355,7 +353,8 @@ pub fn spawn(config: ServeConfig) -> Result<ServerHandle, ServeError> {
     for recovered in recovered_graphs {
         // Snapshots hold the canonical edge list; preprocessing is
         // deterministic, so the rebuilt counts are bit-identical.
-        let prepared = Arc::new(prepare_from_edges(&recovered.name, &recovered.edges));
+        let graph = UndirectedCsr::from_canonical_edges(&recovered.edges);
+        let prepared = Arc::new(PreparedGraph::new(&recovered.name, graph));
         if let Err(error) = state.registry.insert_prepared(prepared) {
             return Err(ServeError::Preload {
                 name: recovered.name,
@@ -401,22 +400,6 @@ pub fn spawn(config: ServeConfig) -> Result<ServerHandle, ServeError> {
         accept: Some(accept),
         checkpoint,
     })
-}
-
-/// Rebuilds a [`PreparedGraph`] from a recovered canonical edge list.
-#[must_use]
-pub fn prepare_from_edges(name: &str, edges: &lotus_graph::EdgeList) -> PreparedGraph {
-    let graph = UndirectedCsr::from_canonical_edges(edges);
-    let config = LotusConfig::auto(&graph);
-    let lotus = build_lotus_graph(&graph, &config);
-    let bytes = graph.topology_bytes() + lotus.topology_bytes();
-    PreparedGraph {
-        name: name.to_string(),
-        graph,
-        lotus,
-        config,
-        bytes,
-    }
 }
 
 /// Periodically compacts the journal and GCs orphan snapshots; always
@@ -613,18 +596,30 @@ fn run_count(name: &str, deadline: Option<Deadline>, state: &ServerState) -> Res
         Ok(found) => found,
         Err(e) => return registry_error_response(&e),
     };
+    let start = Instant::now();
+    count_triangles(&prepared, deadline, state, |triangles| Response::Count {
+        triangles,
+        cached,
+        wall_micros: start.elapsed().as_micros() as u64,
+    })
+}
+
+/// Counts the triangles of a resident graph under the request's
+/// deadline and answers with `reply(triangles)`; an interrupted or
+/// panicked count answers with an error.
+fn count_triangles(
+    prepared: &PreparedGraph,
+    deadline: Option<Deadline>,
+    state: &ServerState,
+    reply: impl FnOnce(u64) -> Response,
+) -> Response {
     let mut guard = RunGuard::unlimited();
     if let Some(d) = deadline {
         guard = guard.with_deadline(d);
     }
-    let start = Instant::now();
     let counter = LotusCounter::new(prepared.config);
     match counter.count_prepared_guarded(&prepared.lotus, &guard) {
-        Ok(result) => Response::Count {
-            triangles: result.total(),
-            cached,
-            wall_micros: start.elapsed().as_micros() as u64,
-        },
+        Ok(result) => reply(result.total()),
         Err(CountError::Interrupted { reason, .. }) => match reason {
             StopReason::DeadlineExpired => {
                 Response::error(ErrorKind::DeadlineExpired, "deadline expired mid-count")
@@ -698,15 +693,16 @@ fn run_kclique(name: &str, k: u32, deadline: Option<Deadline>, state: &ServerSta
         Ok(found) => found,
         Err(e) => return registry_error_response(&e),
     };
-    if deadline.is_some_and(|d| d.expired()) {
-        return Response::error(
+    let reply = |cliques| Response::KClique { k, cliques };
+    match k {
+        1 | 2 => reply(count_kcliques(&prepared.graph, k as usize)),
+        // Triangles are 3-cliques: the resident LOTUS graph counts them.
+        3 => count_triangles(&prepared, deadline, state, reply),
+        _ if deadline.is_some_and(|d| d.expired()) => Response::error(
             ErrorKind::DeadlineExpired,
             "deadline expired before counting",
-        );
-    }
-    Response::KClique {
-        k,
-        cliques: count_kcliques(&prepared.graph, k as usize),
+        ),
+        _ => reply(count_oriented_kcliques(&prepared.cliques, k as usize)),
     }
 }
 
@@ -716,4 +712,47 @@ fn registry_error_response(e: &RegistryError) -> Response {
         RegistryError::BadSpec(_) | RegistryError::OverBudget { .. } => ErrorKind::BadRequest,
     };
     Response::error(kind, e.to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn state() -> ServerState {
+        let config = ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        ServerState {
+            registry: Registry::new(config.budget),
+            engine: Engine::new(&config).expect("engine"),
+            stats: ServeStats::default(),
+            store: None,
+            recovery: None,
+            shards: ShardStore::new(),
+        }
+    }
+
+    /// A 3-clique request is a guarded triangle count: an expired
+    /// deadline stops it inside the counting driver.
+    #[test]
+    fn an_expired_deadline_stops_a_served_triangle_clique_count() {
+        let state = state();
+        let expired = Some(Deadline::after(Duration::ZERO));
+        match run_kclique("rmat:8:8:11", 3, expired, &state) {
+            Response::Error { kind, message } => {
+                assert_eq!(kind, ErrorKind::DeadlineExpired, "{message}");
+                assert!(message.contains("mid-count"), "{message}");
+            }
+            other => panic!("expected DeadlineExpired, got {other:?}"),
+        }
+        let unlimited = run_kclique("rmat:8:8:11", 3, None, &state);
+        let count = run_count("rmat:8:8:11", None, &state);
+        match (unlimited, count) {
+            (Response::KClique { k: 3, cliques }, Response::Count { triangles, .. }) => {
+                assert_eq!(cliques, triangles);
+            }
+            other => panic!("unexpected replies {other:?}"),
+        }
+    }
 }

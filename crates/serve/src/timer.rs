@@ -1,24 +1,20 @@
 //! A hashed timer wheel for connection timeouts.
 //!
 //! The event loop needs thousands of concurrently armed idle /
-//! slow-loris timeouts with O(1) arm and cancel — a sorted structure
-//! per timeout would cost a log factor on the hottest path (every read
-//! re-arms the timer). The wheel hashes each deadline into one of
-//! the wheel's `slots` fixed-width buckets; arming is a push, firing
-//! is draining the buckets the cursor sweeps past, and cancellation is
-//! *lazy*: entries carry a generation number and the caller discards
-//! fired entries whose generation no longer matches the connection
-//! (re-arming bumps the generation, so a stale entry can never evict a
-//! live connection).
+//! slow-loris timeouts with O(1) arm — a sorted structure per timeout
+//! would cost a log factor. The wheel hashes each deadline into one of
+//! the wheel's `slots` fixed-width buckets; arming is a push, and firing
+//! is draining the buckets the cursor sweeps past. The loop keeps one
+//! entry per connection: a read only stamps the connection, and the
+//! entry, when it fires, is armed again from that stamp (DESIGN.md §14).
 
 use std::time::{Duration, Instant};
 
-/// One armed timeout: fires for `(token, gen)` once `rounds` full
-/// cursor revolutions have passed its slot.
+/// One armed timeout: fires for `token` once `rounds` full cursor
+/// revolutions have passed its slot.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     token: u64,
-    gen: u64,
     rounds: u32,
 }
 
@@ -47,10 +43,8 @@ impl TimerWheel {
         }
     }
 
-    /// Arms a timeout for `(token, gen)` to fire `after` from `now`.
-    /// Re-arming is just arming again with a bumped `gen` — the old
-    /// entry goes stale and is discarded when its slot fires.
-    pub fn arm(&mut self, now: Instant, after: Duration, token: u64, gen: u64) {
+    /// Arms a timeout for `token` to fire `after` from `now`.
+    pub fn arm(&mut self, now: Instant, after: Duration, token: u64) {
         let elapsed_in_slot = now.saturating_duration_since(self.cursor_start);
         let total = elapsed_in_slot + after;
         // Round up: firing early would evict a connection that still
@@ -58,20 +52,19 @@ impl TimerWheel {
         let ticks = (total.as_nanos().div_ceil(self.granularity.as_nanos())).max(1) as u64;
         let slot = (self.cursor as u64 + ticks) % self.slots.len() as u64;
         let rounds = (ticks / self.slots.len() as u64) as u32;
-        self.slots[slot as usize].push(Entry { token, gen, rounds });
+        self.slots[slot as usize].push(Entry { token, rounds });
     }
 
-    /// Sweeps the cursor forward to `now`, appending every fired
-    /// `(token, gen)` to `fired`. The caller matches each against the
-    /// connection's current generation and ignores stale pairs.
-    pub fn advance(&mut self, now: Instant, fired: &mut Vec<(u64, u64)>) {
+    /// Sweeps the cursor forward to `now`, appending every fired token
+    /// to `fired`.
+    pub fn advance(&mut self, now: Instant, fired: &mut Vec<u64>) {
         while now.saturating_duration_since(self.cursor_start) >= self.granularity {
             self.cursor_start += self.granularity;
             self.cursor = (self.cursor + 1) % self.slots.len();
             let slot = &mut self.slots[self.cursor];
             slot.retain_mut(|entry| {
                 if entry.rounds == 0 {
-                    fired.push((entry.token, entry.gen));
+                    fired.push(entry.token);
                     false
                 } else {
                     entry.rounds -= 1;
@@ -106,7 +99,7 @@ impl TimerWheel {
         )
     }
 
-    /// Total armed entries (live and stale), for tests and debugging.
+    /// Total armed entries, for tests and debugging.
     #[must_use]
     pub fn armed(&self) -> usize {
         self.slots.iter().map(Vec::len).sum()
@@ -121,29 +114,13 @@ mod tests {
     fn fires_after_the_deadline_never_before() {
         let start = Instant::now();
         let mut wheel = TimerWheel::new(Duration::from_millis(10), 8, start);
-        wheel.arm(start, Duration::from_millis(25), 1, 0);
+        wheel.arm(start, Duration::from_millis(25), 1);
         let mut fired = Vec::new();
         // 20 ms in: not yet (25 ms rounds up to the 30 ms boundary).
         wheel.advance(start + Duration::from_millis(20), &mut fired);
         assert!(fired.is_empty());
         wheel.advance(start + Duration::from_millis(40), &mut fired);
-        assert_eq!(fired, vec![(1, 0)]);
-    }
-
-    #[test]
-    fn stale_generations_still_fire_and_are_filtered_by_the_caller() {
-        let start = Instant::now();
-        let mut wheel = TimerWheel::new(Duration::from_millis(5), 4, start);
-        wheel.arm(start, Duration::from_millis(5), 9, 0);
-        // "Re-arm": bump the generation and arm further out.
-        wheel.arm(start, Duration::from_millis(30), 9, 1);
-        let mut fired = Vec::new();
-        wheel.advance(start + Duration::from_millis(12), &mut fired);
-        // The stale gen-0 entry fires; a caller tracking gen 1 ignores it.
-        assert_eq!(fired, vec![(9, 0)]);
-        fired.clear();
-        wheel.advance(start + Duration::from_millis(60), &mut fired);
-        assert_eq!(fired, vec![(9, 1)]);
+        assert_eq!(fired, vec![1]);
     }
 
     #[test]
@@ -151,12 +128,12 @@ mod tests {
         let start = Instant::now();
         let mut wheel = TimerWheel::new(Duration::from_millis(10), 4, start);
         // 4 slots × 10 ms = one 40 ms revolution; 95 ms is 2+ rounds out.
-        wheel.arm(start, Duration::from_millis(95), 3, 0);
+        wheel.arm(start, Duration::from_millis(95), 3);
         let mut fired = Vec::new();
         wheel.advance(start + Duration::from_millis(80), &mut fired);
         assert!(fired.is_empty(), "fired a full revolution early");
         wheel.advance(start + Duration::from_millis(120), &mut fired);
-        assert_eq!(fired, vec![(3, 0)]);
+        assert_eq!(fired, vec![3]);
     }
 
     #[test]
@@ -164,12 +141,12 @@ mod tests {
         let start = Instant::now();
         let mut wheel = TimerWheel::new(Duration::from_millis(10), 8, start);
         assert!(wheel.next_deadline(start).is_none());
-        wheel.arm(start, Duration::from_millis(35), 1, 0);
+        wheel.arm(start, Duration::from_millis(35), 1);
         let wait = wheel.next_deadline(start).expect("armed");
         assert!(wait <= Duration::from_millis(40), "wait {wait:?} too long");
         let mut fired = Vec::new();
         wheel.advance(start + wait + Duration::from_millis(10), &mut fired);
-        assert_eq!(fired, vec![(1, 0)]);
+        assert_eq!(fired, vec![1]);
         assert_eq!(wheel.armed(), 0);
     }
 }

@@ -201,6 +201,29 @@ where
     }
 }
 
+/// `fold` transform (see [`ParallelIterator::fold`]): folds each chunk
+/// into one accumulator, inside the chunk.
+#[derive(Debug, Clone)]
+pub struct FoldX<X, Id, F> {
+    inner: X,
+    identity: Id,
+    f: F,
+}
+
+impl<T, A, X, Id, F> ChunkXform<T> for FoldX<X, Id, F>
+where
+    X: ChunkXform<T>,
+    Id: Fn() -> A,
+    F: Fn(A, X::Out) -> A,
+{
+    type Out = A;
+
+    fn apply(&self, base: usize, items: Vec<T>) -> Vec<A> {
+        let items = self.inner.apply(base, items).into_iter();
+        vec![items.fold((self.identity)(), &self.f)]
+    }
+}
+
 /// Replay bookkeeping for a source materialized under an active
 /// schedule: its region id and the seeded task permutation.
 #[derive(Debug, Clone)]
@@ -235,18 +258,6 @@ impl<T> Par<T, IdentityX> {
             items,
             xform: IdentityX,
             sched,
-            min_len: 0,
-        }
-    }
-
-    /// Wraps already-computed values (e.g. `fold` accumulators) without
-    /// forking a replay region: the values flow in the surrounding
-    /// context.
-    fn raw(items: Vec<T>) -> Self {
-        Par {
-            items,
-            xform: IdentityX,
-            sched: None,
             min_len: 0,
         }
     }
@@ -414,30 +425,6 @@ where
 
     fn merge(&self, a: T, b: T) -> T {
         (self.op)(a, b)
-    }
-}
-
-struct FoldConsumer<Id, F> {
-    identity: Id,
-    f: F,
-}
-
-impl<T, A, Id, F> Consumer<T> for FoldConsumer<Id, F>
-where
-    A: Send,
-    Id: Fn() -> A + Sync,
-    F: Fn(A, T) -> A + Sync,
-{
-    const COMBINES: bool = true;
-    type Out = Vec<A>;
-
-    fn consume<I: Iterator<Item = T>>(&self, items: I) -> Vec<A> {
-        vec![items.fold((self.identity)(), &self.f)]
-    }
-
-    fn merge(&self, mut a: Vec<A>, mut b: Vec<A>) -> Vec<A> {
-        a.append(&mut b);
-        a
     }
 }
 
@@ -755,21 +742,30 @@ pub trait ParallelIterator: Sized {
 
     /// Folds into per-chunk accumulators — rayon's signature. Produces
     /// one accumulator per executed chunk (one per logical task under
-    /// replay), wrapped in a parallel iterator so a following
-    /// `reduce`/`sum`/`map` works.
-    fn fold<A, Id, F>(self, identity: Id, fold_op: F) -> Par<A, IdentityX>
+    /// replay). As in rayon, what follows runs in the same chunk: a
+    /// `map` after the fold sees each accumulator as its chunk ends, so
+    /// an accumulator the `map` consumes is never held past its chunk.
+    fn fold<A, Id, F>(
+        self,
+        identity: Id,
+        fold_op: F,
+    ) -> Par<Self::SrcItem, FoldX<Self::Xform, Id, F>>
     where
         A: Send,
         Id: Fn() -> A + Sync + Send,
         F: Fn(A, Self::Item) -> A + Sync + Send,
     {
-        Par::raw(drive(
-            self.into_par(),
-            &FoldConsumer {
+        let p = self.into_par();
+        Par {
+            items: p.items,
+            xform: FoldX {
+                inner: p.xform,
                 identity,
                 f: fold_op,
             },
-        ))
+            sched: p.sched,
+            min_len: p.min_len,
+        }
     }
 
     /// Collects into any [`FromIterator`] collection (rayon: `collect`).
@@ -1296,6 +1292,61 @@ mod tests {
                 "{inits} scratch values"
             );
         });
+    }
+
+    /// A fold's accumulator ends inside its own chunk: with a `map` that
+    /// consumes it, no more are alive at once than there are executors.
+    #[test]
+    fn fold_states_end_inside_their_chunk() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        struct State<'a> {
+            live: &'a AtomicUsize,
+            sum: u64,
+        }
+        impl Drop for State<'_> {
+            fn drop(&mut self) {
+                self.live.fetch_sub(1, Ordering::Relaxed);
+            }
+        }
+        let _g = pool::limit_lock();
+        for threads in 1..=4 {
+            let pool = ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool");
+            pool.install(|| {
+                let (live, peak, made) = (
+                    AtomicUsize::new(0),
+                    AtomicUsize::new(0),
+                    AtomicUsize::new(0),
+                );
+                let sum: u64 = (0u64..100_000)
+                    .into_par_iter()
+                    .with_min_len(256)
+                    .fold(
+                        || {
+                            made.fetch_add(1, Ordering::Relaxed);
+                            let now = live.fetch_add(1, Ordering::Relaxed) + 1;
+                            peak.fetch_max(now, Ordering::Relaxed);
+                            State {
+                                live: &live,
+                                sum: 0,
+                            }
+                        },
+                        |mut s, x| {
+                            s.sum += x;
+                            s
+                        },
+                    )
+                    .map(|s| s.sum)
+                    .sum();
+                assert_eq!(sum, (0u64..100_000).sum(), "{threads} threads");
+                assert_eq!(live.into_inner(), 0, "{threads} threads");
+                let (peak, made) = (peak.into_inner(), made.into_inner());
+                assert!(peak <= threads, "{peak} states live on {threads} threads");
+                assert!(threads == 1 || made > threads, "{made} chunks");
+            });
+        }
     }
 
     #[test]
