@@ -122,31 +122,40 @@ fn build_guarded_with(
     let he_offsets = prefix(&he_deg);
     let nhe_offsets = prefix(&nhe_deg);
 
-    // Pass 2: fill the flat arrays; one writer per vertex, so the slices
-    // can be handed out disjointly. Each pool chunk compacts a vertex's
-    // lower neighbours into a scratch buffer of its own and sorts it once
-    // (setEdges(), Algorithm 2 lines 22-23): hub IDs lie below every
-    // non-hub ID, so the sorted buffer is HE(v) followed by NHE(v).
+    // Pass 2: fill the flat arrays. A pool item is a block of vertices and
+    // its windows of the arrays: per-vertex slice pairs would outweigh the
+    // arrays, and blocks of n / PAR_GRAIN vertices (at most PAR_GRAIN)
+    // leave a small graph one vertex per item for the race checker. Each
+    // chunk compacts a vertex's lower neighbours into a scratch buffer of
+    // its own and sorts it once (setEdges(), Algorithm 2 lines 22-23): hub
+    // IDs lie below every non-hub ID, so the sorted buffer is HE(v), NHE(v).
     let mut he_entries = vec![0u16; he_offsets.last().copied().unwrap_or(0) as usize];
     let mut nhe_entries = vec![0u32; nhe_offsets.last().copied().unwrap_or(0) as usize];
     let h2h = TriBitArrayBuilder::new(hub_count);
 
     let poll = guard.poll_every(1024);
-    {
-        let he_slices = split_by_offsets(&mut he_entries, &he_offsets);
-        let nhe_slices = split_by_offsets(&mut nhe_entries, &nhe_offsets);
-        he_slices
-            .into_par_iter()
-            .zip(nhe_slices.into_par_iter())
-            .with_min_len(PAR_GRAIN)
-            .enumerate()
-            .for_each_init(
-                || Vec::with_capacity(SCRATCH_ENTRIES),
-                |lower: &mut Vec<u32>, (v_new, (he_out, nhe_out))| {
-                    if poll.stopped(v_new) {
+    let n = n as usize;
+    let block = n.div_ceil(PAR_GRAIN).clamp(1, PAR_GRAIN);
+    let cuts = |offsets: &[u64]| -> Vec<u64> {
+        let starts = offsets[..n].iter().step_by(block);
+        starts.chain(offsets.last()).copied().collect()
+    };
+    split_by_offsets(&mut he_entries, &cuts(&he_offsets))
+        .into_par_iter()
+        .zip(split_by_offsets(&mut nhe_entries, &cuts(&nhe_offsets)).into_par_iter())
+        .with_min_len(PAR_GRAIN.div_ceil(block))
+        .enumerate()
+        .for_each_init(
+            || Vec::with_capacity(SCRATCH_ENTRIES),
+            |lower: &mut Vec<u32>, (b, (he_block, nhe_block))| {
+                let (lo, hi) = (b * block, (b * block + block).min(n));
+                let he_slices = split_by_offsets(he_block, &he_offsets[lo..=hi]);
+                let nhe_slices = split_by_offsets(nhe_block, &nhe_offsets[lo..=hi]);
+                for (v, (he_out, nhe_out)) in (lo..).zip(he_slices.into_iter().zip(nhe_slices)) {
+                    if poll.stopped(v) {
                         return;
                     }
-                    let v_new = v_new as u32;
+                    let v_new = v as u32;
                     rayon::sched::log_write(he_out, "preprocess.he_entries");
                     rayon::sched::log_write(nhe_out, "preprocess.nhe_entries");
                     let nbrs = graph.neighbors(relabeling.old_id(v_new));
@@ -174,9 +183,9 @@ fn build_guarded_with(
                             h2h.set(v_new, h);
                         }
                     }
-                },
-            );
-    }
+                }
+            },
+        );
     poll.finish(()).map_err(|(reason, ())| reason)?;
 
     let he = Csr::from_parts(he_offsets, he_entries);
@@ -201,7 +210,7 @@ fn build_guarded_with(
     Ok(lg)
 }
 
-/// Splits a flat array into per-vertex windows according to offsets.
+/// Splits a flat array into the windows between consecutive offsets.
 fn split_by_offsets<'a, T>(flat: &'a mut [T], offsets: &[u64]) -> Vec<&'a mut [T]> {
     let mut out = Vec::with_capacity(offsets.len() - 1);
     let mut rest = flat;
@@ -380,6 +389,32 @@ mod tests {
                 assert_eq!(got.nhe, want.nhe, "{at}: NHE");
                 assert_eq!(got.h2h, want.h2h, "{at}: H2H");
                 assert_eq!(got.hub_count, want.hub_count, "{at}: hub count");
+            }
+        }
+    }
+
+    /// Pass 2 hands the pool blocks of vertices: on graphs whose last
+    /// block is short (5,003 = 1,000 × 5 + 3) or whose blocks are full
+    /// (2^13 = 1,024 × 8), at 1–4 threads, every vertex is written once
+    /// and as the reference writes it.
+    #[test]
+    fn blocks_of_vertices_match_the_reference_at_every_thread_count() {
+        let rmat = lotus_gen::Rmat::new(13, 8).generate(5);
+        let er = lotus_gen::ErdosRenyi::new(5003, 40_000).generate(5);
+        for (g, what) in [(&rmat, "rmat"), (&er, "er")] {
+            assert!(g.num_vertices() as usize >= 4 * PAR_GRAIN, "{what}");
+            let config = cfg(256);
+            let want = reference(g, &config);
+            for threads in 1..=4 {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .expect("pool");
+                let got = pool.install(|| build_lotus_graph(g, &config));
+                let at = format!("{what} {threads} threads");
+                assert_eq!(got.he, want.he, "{at}: HE");
+                assert_eq!(got.nhe, want.nhe, "{at}: NHE");
+                assert_eq!(got.h2h, want.h2h, "{at}: H2H");
             }
         }
     }
