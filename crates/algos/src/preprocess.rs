@@ -2,15 +2,13 @@
 //! the forward (oriented) graph.
 //!
 //! Every comparator in the paper's evaluation "uses degree ordering to
-//! accelerate TC" (§5.1.4) and times are end-to-end including this step, so
-//! the pipeline records its own duration.
-
-use std::time::{Duration, Instant};
+//! accelerate TC" (§5.1.4); times are end-to-end including this step, and
+//! each baseline times it itself.
 
 use lotus_graph::{Csr, Relabeling, UndirectedCsr};
 
 /// Output of baseline preprocessing: the relabeled symmetric graph, the
-/// oriented forward graph (lower neighbours only), and timings.
+/// oriented forward graph (lower neighbours only), and the relabeling.
 #[derive(Debug, Clone)]
 pub struct Preprocessed {
     /// Degree-ordered symmetric graph.
@@ -19,13 +17,10 @@ pub struct Preprocessed {
     pub forward: Csr<u32>,
     /// The relabeling that was applied.
     pub relabeling: Relabeling,
-    /// Wall time of the whole preprocessing step.
-    pub elapsed: Duration,
 }
 
 /// Relabels by descending degree and materializes the forward graph.
 pub fn degree_order_and_orient(graph: &UndirectedCsr) -> Preprocessed {
-    let start = Instant::now();
     let relabeling = Relabeling::degree_descending(&graph.degrees());
     let relabeled = relabeling.apply(graph);
     let forward = relabeled.forward_graph();
@@ -33,20 +28,6 @@ pub fn degree_order_and_orient(graph: &UndirectedCsr) -> Preprocessed {
         graph: relabeled,
         forward,
         relabeling,
-        elapsed: start.elapsed(),
-    }
-}
-
-/// Orients an already-ordered graph without relabeling (identity ordering).
-pub fn orient_only(graph: &UndirectedCsr) -> Preprocessed {
-    let start = Instant::now();
-    let relabeling = Relabeling::identity(graph.num_vertices());
-    let forward = graph.forward_graph();
-    Preprocessed {
-        graph: graph.clone(),
-        forward,
-        relabeling,
-        elapsed: start.elapsed(),
     }
 }
 
@@ -63,14 +44,6 @@ mod tests {
         assert_eq!(p.graph.degree(0), 4);
         // Forward graph halves the entries.
         assert_eq!(p.forward.num_entries(), g.num_edges());
-    }
-
-    #[test]
-    fn orient_only_keeps_ids() {
-        let g = graph_from_edges([(0, 1), (1, 2)]);
-        let p = orient_only(&g);
-        assert_eq!(p.relabeling.new_id(2), 2);
-        assert_eq!(p.forward.neighbors(2), &[1]);
     }
 
     #[test]

@@ -36,7 +36,6 @@
 
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -46,8 +45,7 @@ use lotus_resilience::{isolate, Deadline};
 use lotus_serve::event_loop::{self, request_deadline, Engine, Handler};
 use lotus_serve::journal::{read_journal, Journal, JournalRecord};
 use lotus_serve::proto::{ErrorKind, Request, Response, StatsReply, MAX_BATCH};
-use lotus_serve::ServeConfig;
-use lotus_telemetry::counters::{self, Counter};
+use lotus_serve::{Metrics, ServeConfig};
 use lotus_telemetry::sync::{TracedGuard, TracedMutex};
 
 use crate::fleet::{Fleet, FleetError, ShardCall};
@@ -121,64 +119,22 @@ impl std::fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
-/// Always-on coordinator counters (relaxed atomics, mirrored into
-/// `lotus_telemetry::counters` in armed builds).
-#[derive(Debug, Default)]
-pub struct ClusterStats {
-    served: AtomicU64,
-    fanout_calls: AtomicU64,
-    shard_failures: AtomicU64,
-    partial_answers: AtomicU64,
-}
-
-impl ClusterStats {
-    /// Requests answered (any outcome).
-    #[must_use]
-    pub fn served(&self) -> u64 {
-        self.served.load(Ordering::Relaxed)
-    }
-
-    /// Individual shard calls fanned out.
-    #[must_use]
-    pub fn fanout_calls(&self) -> u64 {
-        self.fanout_calls.load(Ordering::Relaxed)
-    }
-
-    /// Shard calls that resolved to an error (dead/slow/desynced).
-    #[must_use]
-    pub fn shard_failures(&self) -> u64 {
-        self.shard_failures.load(Ordering::Relaxed)
-    }
-
-    /// Degraded partial `Count` answers returned.
-    #[must_use]
-    pub fn partial_answers(&self) -> u64 {
-        self.partial_answers.load(Ordering::Relaxed)
-    }
-}
-
-/// Shared coordinator state (map + fleet + journal + counters + the
-/// serving engine).
+/// Shared coordinator state (map + fleet + journal + the serving
+/// engine, which holds the counter table).
 #[derive(Debug)]
 pub struct ClusterState {
     config: ClusterConfig,
     map: TracedMutex<ShardMap>,
     fleet: TracedMutex<Fleet>,
     journal: Option<TracedMutex<Journal>>,
-    stats: ClusterStats,
     engine: Engine,
-    /// Milliseconds the startup map-journal replay took (0 without a
-    /// data dir).
-    recovery_ms: u64,
-    /// Map-journal records that replay read.
-    journal_replays: u64,
 }
 
 impl ClusterState {
-    /// Coordinator counters.
+    /// The coordinator's always-on counter table.
     #[must_use]
-    pub fn stats(&self) -> &ClusterStats {
-        &self.stats
+    pub fn stats(&self) -> &Metrics {
+        self.engine.metrics()
     }
 
     /// Requests shutdown: the acceptor parks, and the loops flush every
@@ -219,18 +175,10 @@ impl ClusterState {
         calls: &[ShardCall],
         deadline: Deadline,
     ) -> Vec<Result<Response, FleetError>> {
-        self.stats
-            .fanout_calls
-            .fetch_add(calls.len() as u64, Ordering::Relaxed);
-        counters::add(Counter::ClusterFanoutCalls, calls.len() as u64);
+        self.stats().fanout_calls.add(calls.len() as u64);
         let replies = self.lock_fleet().broadcast(calls, deadline);
         let failures = replies.iter().filter(|r| r.is_err()).count() as u64;
-        if failures > 0 {
-            self.stats
-                .shard_failures
-                .fetch_add(failures, Ordering::Relaxed);
-            counters::add(Counter::ClusterShardFailures, failures);
-        }
+        self.stats().shard_failures.add(failures);
         replies
     }
 
@@ -243,7 +191,7 @@ impl ClusterState {
     /// Answers one request and counts it.
     fn answer(&self, request: &Request, deadline: Option<Deadline>) -> Response {
         let response = dispatch(self, request, deadline);
-        self.stats.served.fetch_add(1, Ordering::Relaxed);
+        self.stats().served.incr();
         response
     }
 }
@@ -271,8 +219,10 @@ impl Handler for ClusterState {
     /// Fan-outs and journaled map changes, panic-isolated so a fault
     /// still answers its connection.
     fn pooled(&self, request: &Request, deadline: Option<Deadline>) -> Response {
-        isolate(|| self.answer(request, deadline))
-            .unwrap_or_else(|panic| Response::error(ErrorKind::WorkerPanic, panic.message))
+        isolate(|| self.answer(request, deadline)).unwrap_or_else(|panic| {
+            self.stats().panics.incr();
+            Response::error(ErrorKind::WorkerPanic, panic.message)
+        })
     }
 }
 
@@ -330,22 +280,27 @@ impl Drop for CoordinatorHandle {
 /// [`ClusterError::Io`] when the listener cannot bind or the loop's
 /// threads cannot start.
 pub fn spawn(config: ClusterConfig) -> Result<CoordinatorHandle, ClusterError> {
+    let engine = Engine::new(&ServeConfig {
+        queue_capacity: QUEUE_CAPACITY,
+        ..ServeConfig::default()
+    })
+    .map_err(ClusterError::Io)?;
+    let metrics = engine.metrics();
     let mut map = ShardMap::new();
     let mut journal = None;
-    let (mut recovery_ms, mut journal_replays) = (0, 0);
     if let Some(dir) = config.data_dir.as_ref() {
         std::fs::create_dir_all(dir).map_err(ClusterError::Journal)?;
         let path = dir.join(CLUSTER_JOURNAL);
         if path.exists() {
             let replay = Instant::now();
             let readout = read_journal(&path).map_err(ClusterError::Journal)?;
-            journal_replays = readout.records.len() as u64;
+            metrics.journal_replays.add(readout.records.len() as u64);
             let (recovered, errors) = ShardMap::from_entries(&readout.fold());
             // Per-entry damage is tolerated (the map degrades), but it
             // is not silent: counted for the operator.
-            counters::add(Counter::ClusterMapRecoveryErrors, errors.len() as u64);
+            metrics.map_recovery_errors.add(errors.len() as u64);
             map = recovered;
-            recovery_ms = replay.elapsed().as_millis() as u64;
+            metrics.recovery_ms.add(replay.elapsed().as_millis() as u64);
         }
         journal = Some(TracedMutex::new(
             "cluster.journal",
@@ -373,14 +328,7 @@ pub fn spawn(config: ClusterConfig) -> Result<CoordinatorHandle, ClusterError> {
         map: TracedMutex::new("cluster.map", map),
         fleet: TracedMutex::new("cluster.fleet", fleet),
         journal,
-        stats: ClusterStats::default(),
-        engine: Engine::new(&ServeConfig {
-            queue_capacity: QUEUE_CAPACITY,
-            ..ServeConfig::default()
-        })
-        .map_err(ClusterError::Io)?,
-        recovery_ms,
-        journal_replays,
+        engine,
     });
     for record in &join_records {
         state
@@ -474,8 +422,7 @@ fn run_count(state: &ClusterState, name: &str, deadline: Option<Deadline>) -> Re
         };
     }
     if state.config.allow_partial && live > 0 {
-        state.stats.partial_answers.fetch_add(1, Ordering::Relaxed);
-        counters::add(Counter::ClusterPartialAnswers, 1);
+        state.stats().partial_answers.incr();
         // Degraded mode: a partial sum over the live shards, flagged
         // `cached: false` so callers can tell it from an exact answer.
         return Response::Count {
@@ -748,10 +695,10 @@ fn run_batch(state: &ClusterState, items: &[Request]) -> Response {
     Response::Batch(responses)
 }
 
-/// The coordinator's own `Stats` reply: map occupancy, coordinator
-/// counters, the map-journal replay, and the engine's connection, loop
-/// and admission figures. Registry and snapshot fields stay zero — there
-/// is no registry here, and honest zeros beat fabricated numbers.
+/// The coordinator's own `Stats` reply: map occupancy and the engine's
+/// reply from the counter table, whose recovery rows describe the
+/// map-journal replay. Registry and snapshot fields stay zero — there is
+/// no registry here, and honest zeros beat fabricated numbers.
 fn coordinator_stats(state: &ClusterState) -> StatsReply {
     let (graphs, shards) = {
         let map = state.lock_map();
@@ -759,12 +706,9 @@ fn coordinator_stats(state: &ClusterState) -> StatsReply {
     };
     StatsReply {
         graphs,
-        requests_served: state.stats.served(),
         // The worker-count slot carries the fleet size: `loadgen
         // --cluster` reads it as the shard count (DESIGN.md §16.5).
         workers: shards,
-        recovery_ms: state.recovery_ms,
-        journal_replays: state.journal_replays,
         ..state.engine.stats()
     }
 }

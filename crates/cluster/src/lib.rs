@@ -30,8 +30,7 @@ pub mod fleet;
 pub mod map;
 
 pub use coordinator::{
-    spawn, ClusterConfig, ClusterError, ClusterState, ClusterStats, CoordinatorHandle,
-    CLUSTER_JOURNAL,
+    spawn, ClusterConfig, ClusterError, ClusterState, CoordinatorHandle, CLUSTER_JOURNAL,
 };
 pub use fleet::{Fleet, FleetError, ShardCall};
 pub use map::{MapEntryError, Placement, ShardMap};

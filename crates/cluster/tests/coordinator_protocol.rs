@@ -12,7 +12,7 @@ use std::time::Duration;
 use lotus_cluster::{
     spawn as spawn_coordinator, ClusterConfig, CoordinatorHandle, CLUSTER_JOURNAL,
 };
-use lotus_serve::journal::read_journal;
+use lotus_serve::journal::{read_journal, Journal, JournalRecord};
 use lotus_serve::proto::{
     read_response, write_frame, write_request, ErrorKind, Request, Response, StatsReply,
     NO_DEADLINE,
@@ -268,6 +268,35 @@ fn stats_report_the_map_journal_replay_not_the_uptime() {
     assert_eq!(stats_of(&second).journal_replays, records);
     second.shutdown();
     second.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_malformed_map_entry_is_counted_at_restart() {
+    // A map journal left by an earlier run: one shard join and one
+    // placement whose part count does not parse.
+    let dir = std::env::temp_dir().join(format!("lotus-coord-damage-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("data dir");
+    let mut journal = Journal::open(dir.join(CLUSTER_JOURNAL)).expect("open map journal");
+    for (name, spec) in [("shard:0", "127.0.0.1:1"), ("graph:g", "two|rmat:8:8:3")] {
+        let (name, spec) = (name.into(), spec.into());
+        journal
+            .append(&JournalRecord::Register { name, spec })
+            .expect("append");
+    }
+    let coordinator = spawn_coordinator(ClusterConfig {
+        data_dir: Some(dir.clone()),
+        ..ClusterConfig::default()
+    })
+    .expect("a damaged entry does not stop recovery");
+    let table = coordinator.state().stats();
+    assert_eq!(
+        (table.map_recovery_errors(), table.journal_replays()),
+        (1, 2)
+    );
+    coordinator.shutdown();
+    coordinator.wait();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

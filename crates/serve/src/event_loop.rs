@@ -35,16 +35,15 @@ use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lotus_net::{Event, Events, Interest, Poller, Token, Waker};
 use lotus_resilience::{CancelToken, Deadline};
-use lotus_telemetry::{counters, Counter};
 
 use crate::conn::{Flush, FramedConn};
+use crate::metrics::{Metrics, Row};
 use crate::pool::WorkerPool;
 use crate::proto::{
     frame_response, ErrorKind, LoopStat, Request, Response, StatsReply, NO_DEADLINE,
@@ -106,16 +105,14 @@ struct NetConfig {
 }
 
 /// The serving plumbing a frontend owns: the bounded worker pool,
-/// connection quotas and counters, and the shutdown token whose
-/// cancellation drains every loop.
+/// connection quotas, the server's counter table, and the shutdown
+/// token whose cancellation drains every loop.
 #[derive(Debug)]
 pub struct Engine {
     pool: WorkerPool,
     shutdown: CancelToken,
     config: NetConfig,
-    conns_accepted: AtomicU64,
-    conns_open: AtomicU64,
-    overloaded: AtomicU64,
+    metrics: Arc<Metrics>,
     /// Every loop, in loop-index order: woken together with the
     /// acceptor so a drain interrupts every blocked wait immediately,
     /// and read by `Stats` so a hot loop is visible, not averaged away.
@@ -128,6 +125,7 @@ impl Engine {
     /// replaced by defaults: workers = `rayon::current_num_threads()`,
     /// queue = 4 × workers, event threads = cores/4 (1–4), 4096
     /// connections, 64 in flight per connection, 60 s idle timeout.
+    /// The engine creates its server's [`Metrics`] table.
     ///
     /// # Errors
     /// Returns the OS error when a worker thread cannot be spawned.
@@ -147,13 +145,16 @@ impl Engine {
                 config.idle_timeout
             },
         };
+        let metrics = Arc::new(Metrics::default());
         Ok(Engine {
-            pool: WorkerPool::new(workers, or(config.queue_capacity, workers * 4))?,
+            pool: WorkerPool::with_metrics(
+                workers,
+                or(config.queue_capacity, workers * 4),
+                Arc::clone(&metrics),
+            )?,
             shutdown: CancelToken::new(),
             config: net,
-            conns_accepted: AtomicU64::new(0),
-            conns_open: AtomicU64::new(0),
-            overloaded: AtomicU64::new(0),
+            metrics,
             loops: Mutex::new(Vec::new()),
             acceptor: OnceLock::new(),
         })
@@ -178,25 +179,43 @@ impl Engine {
         }
     }
 
-    /// The engine's share of a `Stats` reply: pool shape and panics,
-    /// admission refusals, connection counters and per-loop activity.
-    /// Frontend fields stay at their defaults for the caller to fill.
+    /// The server's counter table, shared with the pool and handed by
+    /// the frontend to its other layers.
+    #[must_use]
+    pub fn metrics(&self) -> &Arc<Metrics> {
+        &self.metrics
+    }
+
+    /// A `Stats` reply from the counter table, the pool's shape and the
+    /// per-loop activity. The registry's fields (`graphs`,
+    /// `resident_bytes`, `budget_bytes`) stay zero for the frontend to
+    /// fill.
     #[must_use]
     pub fn stats(&self) -> StatsReply {
+        let m = &self.metrics;
         StatsReply {
+            requests_served: m.served(),
+            overloaded: m.overloaded(),
+            deadline_expired: m.deadline_expired(),
+            cache_hits: m.cache_hits(),
+            cache_misses: m.cache_misses(),
+            panics: m.panics(),
             workers: self.pool.workers() as u32,
             queue_capacity: self.pool.capacity() as u32,
-            panics: self.pool.panics(),
-            overloaded: self.overloaded.load(Ordering::Relaxed),
-            conns_accepted: self.conns_accepted.load(Ordering::Relaxed),
-            conns_open: self.conns_open.load(Ordering::Relaxed),
+            snapshot_writes: m.snapshot_writes(),
+            journal_appends: m.journal_appends(),
+            journal_replays: m.journal_replays(),
+            recovery_quarantined: m.recovery_quarantined(),
+            recovery_ms: m.recovery_ms(),
+            conns_accepted: m.conns_accepted(),
+            conns_open: m.conns_open(),
             event_threads: self.config.event_threads as u32,
             loop_stats: self
                 .loops()
                 .iter()
                 .map(|l| LoopStat {
-                    readiness_events: l.readiness_events.load(Ordering::Relaxed),
-                    loop_wakeups: l.loop_wakeups.load(Ordering::Relaxed),
+                    readiness_events: l.readiness_events.get(),
+                    loop_wakeups: l.loop_wakeups.get(),
                 })
                 .collect(),
             ..StatsReply::default()
@@ -206,8 +225,7 @@ impl Engine {
     /// Records a refused admission (full queue or connection quota) and
     /// builds the `Overloaded` response.
     fn refuse(&self) -> Response {
-        self.overloaded.fetch_add(1, Ordering::Relaxed);
-        counters::incr(Counter::RequestsOverloaded);
+        self.metrics.overloaded.incr();
         Response::error(ErrorKind::Overloaded, "request queue is full")
     }
 
@@ -219,7 +237,7 @@ impl Engine {
     }
 
     fn close_conn(&self) {
-        self.conns_open.fetch_sub(1, Ordering::Relaxed);
+        self.metrics.conns_open.decr();
     }
 }
 
@@ -265,8 +283,8 @@ struct LoopShared {
     incoming: Mutex<Vec<TcpStream>>,
     completions: Mutex<Vec<Completion>>,
     waker: Waker,
-    readiness_events: AtomicU64,
-    loop_wakeups: AtomicU64,
+    readiness_events: Row,
+    loop_wakeups: Row,
 }
 
 impl LoopShared {
@@ -299,8 +317,8 @@ pub fn start<H: Handler>(
             incoming: Mutex::new(Vec::new()),
             completions: Mutex::new(Vec::new()),
             waker: poller.waker(Token(WAKER_TOKEN))?,
-            readiness_events: AtomicU64::new(0),
-            loop_wakeups: AtomicU64::new(0),
+            readiness_events: Row::default(),
+            loop_wakeups: Row::default(),
         });
         engine
             .loops
@@ -361,14 +379,13 @@ fn accept_loop(
             // nonblocking, so there is no accept-then-configure window.
             match lotus_net::accept_nonblocking(listener) {
                 Ok(Some(stream)) => {
-                    if engine.conns_open.load(Ordering::Relaxed) >= engine.config.max_conns as u64 {
+                    if engine.metrics.conns_open() >= engine.config.max_conns as u64 {
                         refuse_over_quota(&stream, engine);
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
-                    engine.conns_accepted.fetch_add(1, Ordering::Relaxed);
-                    engine.conns_open.fetch_add(1, Ordering::Relaxed);
-                    counters::incr(Counter::ConnsAccepted);
+                    engine.metrics.conns_accepted.incr();
+                    engine.metrics.conns_open.incr();
                     let shared = &loops[next_loop % loops.len()];
                     next_loop = next_loop.wrapping_add(1);
                     shared
@@ -461,13 +478,13 @@ impl Conn {
         self.dead || ((self.read_closed || self.eof) && self.idle())
     }
 
-    fn flush(&mut self) {
+    fn flush(&mut self, metrics: &Metrics) {
         if self.dead {
             return;
         }
         match self.io.flush() {
             Flush::Done => {}
-            Flush::Blocked => counters::incr(Counter::PartialWrites),
+            Flush::Blocked => metrics.partial_writes.incr(),
             Flush::Failed => self.dead = true,
         }
     }
@@ -547,12 +564,8 @@ fn event_loop<H: Handler>(poller: &Poller, shared: &Arc<LoopShared>, handler: &A
             .next_deadline(Instant::now())
             .map_or(MAX_WAIT, |d| d.min(MAX_WAIT));
         let _ = poller.wait(&mut events, Some(timeout));
-        counters::incr(Counter::LoopWakeups);
-        counters::add(Counter::ReadinessEvents, events.len() as u64);
-        shared.loop_wakeups.fetch_add(1, Ordering::Relaxed);
-        shared
-            .readiness_events
-            .fetch_add(events.len() as u64, Ordering::Relaxed);
+        shared.loop_wakeups.incr();
+        shared.readiness_events.add(events.len() as u64);
         let now = Instant::now();
 
         // 1. Readiness events for existing connections.
@@ -570,7 +583,7 @@ fn event_loop<H: Handler>(poller: &Poller, shared: &Arc<LoopShared>, handler: &A
                 continue;
             };
             if writable || closed {
-                conn.flush();
+                conn.flush(&engine.metrics);
             }
             if readable || closed {
                 pump_reads(conn, token, &ctx, now);
@@ -622,7 +635,7 @@ fn event_loop<H: Handler>(poller: &Poller, shared: &Arc<LoopShared>, handler: &A
             // The inflight quota may have paused parsing mid-buffer;
             // resume from the already-buffered bytes.
             process_frames(conn, completion.token, &ctx);
-            conn.flush();
+            conn.flush(&engine.metrics);
             conn.refresh(poller, completion.token, config);
         }
 
@@ -714,7 +727,7 @@ fn pump_reads<H: Handler>(conn: &mut Conn, token: u64, ctx: &LoopCtx<'_, H>, now
             Err(_) => conn.dead = true,
         }
     }
-    conn.flush();
+    conn.flush(&ctx.handler.engine().metrics);
 }
 
 /// Parses every complete buffered frame (respecting the inflight

@@ -20,6 +20,8 @@
 //!   serve many times, LRU-evicted against a
 //!   `lotus_resilience::MemoryBudget`.
 //! - [`pool`] — the bounded worker pool behind admission control.
+//! - [`metrics`] — the always-on counter table each server owns and
+//!   its `Stats` reply reads.
 //! - [`server`] — the daemon itself: startup, durability, request
 //!   dispatch, per-request deadlines, panic isolation.
 //! - [`client`] — a minimal blocking client.
@@ -43,6 +45,7 @@ pub mod conn;
 pub mod event_loop;
 pub mod journal;
 pub mod loadgen;
+pub mod metrics;
 pub(crate) mod mux;
 pub mod pool;
 pub mod proto;
@@ -56,9 +59,10 @@ pub mod timer;
 pub use client::Client;
 pub use journal::{Journal, JournalRecord};
 pub use loadgen::{LoadgenConfig, LoadgenReport};
+pub use metrics::Metrics;
 pub use proto::{ErrorKind, LoopStat, ProtoError, Request, Response, StatsReply};
 pub use recovery::{recover, RecoveredState, RecoveryReport};
 pub use registry::{GraphSpec, PreparedGraph, Registry, RegistryError};
-pub use server::{spawn, ServeConfig, ServeError, ServeStats, ServerHandle, ServerState};
+pub use server::{spawn, ServeConfig, ServeError, ServerHandle, ServerState};
 pub use shards::{ShardStore, StoredShard};
 pub use store::{DurableStore, StoreError};

@@ -14,12 +14,13 @@
 //! the same way the counting kernels do.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError};
 use std::thread::JoinHandle;
 
 use lotus_resilience::isolate;
 use lotus_telemetry::sync::{TracedCondvar, TracedMutex};
+
+use crate::metrics::Metrics;
 
 /// A unit of work: always runs to completion or panics (isolated);
 /// responsible for delivering its own reply.
@@ -32,7 +33,8 @@ struct Shared {
     /// Set once by [`WorkerPool::shutdown`]; workers drain the queue and
     /// exit.
     shutting_down: TracedMutex<bool>,
-    panics: AtomicU64,
+    /// The owning server's table; the backstop counts into its `panics`.
+    metrics: Arc<Metrics>,
 }
 
 impl Shared {
@@ -52,13 +54,25 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns `workers` threads behind a queue of `capacity` slots.
-    /// Zero values are clamped to one.
+    /// Spawns `workers` threads behind a queue of `capacity` slots,
+    /// counting into a table of its own. Zero values are clamped to one.
     ///
     /// # Errors
     /// Returns the OS error when a worker thread cannot be spawned;
     /// already-spawned workers are shut down before returning.
     pub fn new(workers: usize, capacity: usize) -> std::io::Result<WorkerPool> {
+        WorkerPool::with_metrics(workers, capacity, Arc::default())
+    }
+
+    /// [`WorkerPool::new`], counting into the server's `metrics`.
+    ///
+    /// # Errors
+    /// As [`WorkerPool::new`].
+    pub(crate) fn with_metrics(
+        workers: usize,
+        capacity: usize,
+        metrics: Arc<Metrics>,
+    ) -> std::io::Result<WorkerPool> {
         let width = workers.max(1);
         let capacity = capacity.max(1);
         let shared = Arc::new(Shared {
@@ -66,7 +80,7 @@ impl WorkerPool {
             wake: TracedCondvar::new("serve.pool.wake"),
             capacity,
             shutting_down: TracedMutex::new("serve.pool.shutting_down", false),
-            panics: AtomicU64::new(0),
+            metrics,
         });
         let mut handles = Vec::with_capacity(width);
         for i in 0..width {
@@ -109,7 +123,7 @@ impl WorkerPool {
     /// Worker panics confined so far.
     #[must_use]
     pub fn panics(&self) -> u64 {
-        self.shared.panics.load(Ordering::Relaxed)
+        self.shared.metrics.panics()
     }
 
     /// Admission control: enqueues the job unless the queue is full or
@@ -209,7 +223,7 @@ fn worker_loop(shared: &Shared) {
         // own panic handling), but if one unwinds anyway the worker
         // thread survives it.
         if isolate(job).is_err() {
-            shared.panics.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.panics.incr();
         }
     }
 }
@@ -217,7 +231,7 @@ fn worker_loop(shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
 
     #[test]

@@ -418,9 +418,9 @@ wire_enum! {
 }
 
 wire_struct! {
-    /// Server/registry statistics carried by [`Response::Stats`]. These are
-    /// the always-on serving counters; armed `telemetry` builds mirror them
-    /// into `lotus_telemetry::counters` as well.
+    /// Server/registry statistics carried by [`Response::Stats`]: the
+    /// registry's occupancy and the rows of the server's always-on
+    /// counter table ([`crate::metrics::Metrics`]).
     #[derive(Debug, Clone, Default, PartialEq, Eq)]
     pub struct StatsReply {
         /// Graphs resident in the registry.

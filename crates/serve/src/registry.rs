@@ -11,7 +11,6 @@
 
 use lotus_telemetry::sync::{TracedGuard, TracedMutex};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError};
 
 use lotus_core::kclique::orient;
@@ -21,7 +20,8 @@ use lotus_gen::{ErdosRenyi, Rmat};
 use lotus_graph::io::{load_binary, load_edge_list_text};
 use lotus_graph::{Csr, UndirectedCsr};
 use lotus_resilience::MemoryBudget;
-use lotus_telemetry::{counters, Counter};
+
+use crate::metrics::Metrics;
 
 /// A graph the registry has fully prepared for serving.
 #[derive(Debug)]
@@ -209,20 +209,27 @@ type EvictHook = Arc<dyn Fn(&str) + Send + Sync>;
 pub struct Registry {
     inner: TracedMutex<Inner>,
     budget: MemoryBudget,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    /// The owning server's table: lookups count into `cache_hits` and
+    /// `cache_misses`.
+    metrics: Arc<Metrics>,
     evict_hook: TracedMutex<Option<EvictHook>>,
 }
 
 impl Registry {
-    /// Creates a registry bounded by `budget`.
+    /// Creates a registry bounded by `budget`, counting into a table of
+    /// its own.
     #[must_use]
     pub fn new(budget: MemoryBudget) -> Registry {
+        Registry::with_metrics(budget, Arc::default())
+    }
+
+    /// [`Registry::new`], counting into the server's `metrics`.
+    #[must_use]
+    pub(crate) fn with_metrics(budget: MemoryBudget, metrics: Arc<Metrics>) -> Registry {
         Registry {
             inner: TracedMutex::new("serve.registry.inner", Inner::default()),
             budget,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            metrics,
             evict_hook: TracedMutex::new("serve.registry.evict_hook", None),
         }
     }
@@ -281,13 +288,13 @@ impl Registry {
     /// Cache hits since start.
     #[must_use]
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.metrics.cache_hits()
     }
 
     /// Cache misses (loads/builds) since start.
     #[must_use]
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.metrics.cache_misses()
     }
 
     fn lock(&self) -> TracedGuard<'_, Inner> {
@@ -304,8 +311,7 @@ impl Registry {
     /// a spec; the spec/build errors of [`Registry::load`] otherwise.
     pub fn get_or_load(&self, name: &str) -> Result<(Arc<PreparedGraph>, bool), RegistryError> {
         if let Some(prepared) = self.touch(name) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            counters::incr(Counter::RegistryHits);
+            self.metrics.cache_hits.incr();
             return Ok((prepared, true));
         }
         // Miss: only a spec-shaped name can be built on demand.
@@ -339,8 +345,7 @@ impl Registry {
     /// graph alone exceeds the whole budget.
     pub fn load(&self, name: &str, spec: &str) -> Result<(Arc<PreparedGraph>, u32), RegistryError> {
         let parsed = GraphSpec::parse(spec).map_err(RegistryError::BadSpec)?;
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        counters::incr(Counter::RegistryMisses);
+        self.metrics.cache_misses.incr();
         let prepared = Arc::new(PreparedGraph::new(name, build_graph(&parsed)?));
         let evicted = self.insert_prepared(Arc::clone(&prepared))?;
         Ok((prepared, evicted))

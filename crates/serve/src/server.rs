@@ -20,7 +20,6 @@
 
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -29,9 +28,10 @@ use lotus_core::kclique::{count_kcliques, count_oriented_kcliques};
 use lotus_core::{per_vertex::count_per_vertex, CountError, LotusCounter};
 use lotus_graph::UndirectedCsr;
 use lotus_resilience::{isolate, Deadline, MemoryBudget, RunGuard, StopReason};
-use lotus_telemetry::{counters, Counter, Span, SpanId};
+use lotus_telemetry::{Span, SpanId};
 
 use crate::event_loop::{self, request_deadline, Engine, Handler};
+use crate::metrics::Metrics;
 use crate::proto::{ErrorKind, Request, Response, StatsReply, MAX_CLIQUE_K, MAX_PER_VERTEX_SPAN};
 use crate::recovery::RecoveryReport;
 use crate::registry::{PreparedGraph, Registry, RegistryError};
@@ -101,57 +101,11 @@ impl Default for ServeConfig {
     }
 }
 
-/// Always-on serving counters (plain relaxed atomics — *not* gated on
-/// the `telemetry` feature, so `Stats` works in every build; armed
-/// builds additionally mirror each increment into
-/// `lotus_telemetry::counters`).
-#[derive(Debug, Default)]
-pub struct ServeStats {
-    served: AtomicU64,
-    deadline_expired: AtomicU64,
-    panics: AtomicU64,
-}
-
-impl ServeStats {
-    /// Requests answered successfully.
-    #[must_use]
-    pub fn served(&self) -> u64 {
-        self.served.load(Ordering::Relaxed)
-    }
-
-    /// Requests that expired their deadline.
-    #[must_use]
-    pub fn deadline_expired(&self) -> u64 {
-        self.deadline_expired.load(Ordering::Relaxed)
-    }
-
-    /// Worker panics confined by isolation.
-    #[must_use]
-    pub fn panics(&self) -> u64 {
-        self.panics.load(Ordering::Relaxed)
-    }
-
-    fn record_served(&self) {
-        self.served.fetch_add(1, Ordering::Relaxed);
-        counters::incr(Counter::RequestsServed);
-    }
-
-    fn record_deadline_expired(&self) {
-        self.deadline_expired.fetch_add(1, Ordering::Relaxed);
-        counters::incr(Counter::RequestsDeadlineExpired);
-    }
-
-    fn record_panic(&self) {
-        self.panics.fetch_add(1, Ordering::Relaxed);
-        counters::incr(Counter::PhasePanics);
-    }
-}
-
-/// Shared daemon state: registry, pool, stats, durability, shutdown.
+/// Shared daemon state: registry, engine (pool, counters, shutdown),
+/// durability.
 pub struct ServerState {
     registry: Registry,
     engine: Engine,
-    stats: ServeStats,
     store: Option<Arc<DurableStore>>,
     recovery: Option<RecoveryReport>,
     shards: ShardStore,
@@ -170,10 +124,10 @@ impl ServerState {
         &self.shards
     }
 
-    /// The always-on serving counters.
+    /// The daemon's always-on counter table.
     #[must_use]
-    pub fn stats(&self) -> &ServeStats {
-        &self.stats
+    pub fn stats(&self) -> &Metrics {
+        self.engine.metrics()
     }
 
     /// The durable store, when the daemon runs with a data dir.
@@ -188,29 +142,15 @@ impl ServerState {
         self.recovery.as_ref()
     }
 
-    /// Assembles the wire-level stats reply.
+    /// Assembles the wire-level stats reply: the engine's, plus the
+    /// registry's occupancy.
     #[must_use]
     pub fn stats_reply(&self) -> StatsReply {
-        let (snapshot_writes, journal_appends, journal_replays, recovery_quarantined, recovery_ms) =
-            self.store
-                .as_ref()
-                .map_or((0, 0, 0, 0, 0), |s| s.stat_values());
-        let engine = self.engine.stats();
         StatsReply {
             graphs: self.registry.len() as u32,
             resident_bytes: self.registry.resident_bytes(),
             budget_bytes: self.registry.budget_bytes(),
-            requests_served: self.stats.served(),
-            deadline_expired: self.stats.deadline_expired(),
-            cache_hits: self.registry.hits(),
-            cache_misses: self.registry.misses(),
-            panics: self.stats.panics() + engine.panics,
-            snapshot_writes,
-            journal_appends,
-            journal_replays,
-            recovery_quarantined,
-            recovery_ms,
-            ..engine
+            ..self.engine.stats()
         }
     }
 }
@@ -319,7 +259,10 @@ impl std::error::Error for ServeError {}
 /// [`ServeError::Durability`] when the data dir cannot be opened, and
 /// [`ServeError::Preload`] when a preload graph fails to load.
 pub fn spawn(config: ServeConfig) -> Result<ServerHandle, ServeError> {
-    // Durability first: recovery must finish before anything is served
+    // The engine owns the counter table every other layer counts into.
+    let engine = Engine::new(&config).map_err(ServeError::Workers)?;
+    let metrics = Arc::clone(engine.metrics());
+    // Durability next: recovery must finish before anything is served
     // so the registry starts from exactly the last durably acknowledged
     // state (damaged files quarantined, never fatal).
     let mut recovered_graphs = Vec::new();
@@ -327,16 +270,16 @@ pub fn spawn(config: ServeConfig) -> Result<ServerHandle, ServeError> {
     let mut recovery = None;
     if let Some(data_dir) = &config.data_dir {
         let (opened, recovered_state) =
-            DurableStore::open(data_dir).map_err(ServeError::Durability)?;
+            DurableStore::open_with_metrics(data_dir, Arc::clone(&metrics))
+                .map_err(ServeError::Durability)?;
         store = Some(Arc::new(opened));
         recovery = Some(recovered_state.report);
         recovered_graphs = recovered_state.graphs;
     }
 
     let state = Arc::new(ServerState {
-        registry: Registry::new(config.budget),
-        engine: Engine::new(&config).map_err(ServeError::Workers)?,
-        stats: ServeStats::default(),
+        registry: Registry::with_metrics(config.budget, metrics),
+        engine,
         store,
         recovery,
         shards: ShardStore::new(),
@@ -497,12 +440,12 @@ impl Handler for ServerState {
             // counted against the serving stats.
             return isolate(|| shards::run_shard_load(self.shards(), name, spec, *parts, *index))
                 .unwrap_or_else(|panic| {
-                    self.stats.record_panic();
+                    self.stats().panics.incr();
                     Response::error(ErrorKind::WorkerPanic, panic.message)
                 });
         }
         let response = isolate(|| execute_work(request, deadline, self)).unwrap_or_else(|panic| {
-            self.stats.record_panic();
+            self.stats().panics.incr();
             Response::error(ErrorKind::WorkerPanic, panic.message)
         });
         record_outcome(&response, self);
@@ -547,8 +490,8 @@ fn record_outcome(response: &Response, state: &ServerState) {
         _ => None,
     };
     match kind {
-        None => state.stats.record_served(),
-        Some(ErrorKind::DeadlineExpired) => state.stats.record_deadline_expired(),
+        None => state.stats().served.incr(),
+        Some(ErrorKind::DeadlineExpired) => state.stats().deadline_expired.incr(),
         Some(_) => {}
     }
 }
@@ -627,7 +570,7 @@ fn count_triangles(
             StopReason::Cancelled => Response::error(ErrorKind::Cancelled, "count cancelled"),
         },
         Err(CountError::PhasePanic { message, phase, .. }) => {
-            state.stats.record_panic();
+            state.stats().panics.incr();
             Response::error(
                 ErrorKind::WorkerPanic,
                 format!("phase {phase:?} panicked: {message}"),
@@ -726,7 +669,6 @@ mod tests {
         ServerState {
             registry: Registry::new(config.budget),
             engine: Engine::new(&config).expect("engine"),
-            stats: ServeStats::default(),
             store: None,
             recovery: None,
             shards: ShardStore::new(),

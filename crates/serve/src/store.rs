@@ -32,17 +32,16 @@ use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::PoisonError;
+use std::sync::{Arc, PoisonError};
 
 use lotus_telemetry::sync::{TracedGuard, TracedMutex};
 
 use lotus_graph::io::write_binary;
 use lotus_graph::{GraphError, UndirectedCsr};
 use lotus_resilience::fault_point;
-use lotus_telemetry::{counters, Counter};
 
 use crate::journal::{self, Journal, JournalRecord};
+use crate::metrics::Metrics;
 use crate::recovery::{self, RecoveredState};
 
 /// File suffix of a complete snapshot.
@@ -83,28 +82,6 @@ fn io_err(op: &'static str) -> impl FnOnce(io::Error) -> StoreError {
     move |source| StoreError::Io { op, source }
 }
 
-/// Always-on durability counters, mirrored into telemetry when that
-/// feature is armed (same pattern as `ServeStats`).
-#[derive(Debug, Default)]
-pub struct DurableStats {
-    /// Snapshots durably written.
-    pub snapshot_writes: AtomicU64,
-    /// Journal records appended and synced.
-    pub journal_appends: AtomicU64,
-    /// Journal records replayed at startup.
-    pub journal_replays: AtomicU64,
-    /// Files quarantined by startup recovery.
-    pub recovery_quarantined: AtomicU64,
-    /// Milliseconds the startup recovery pass took.
-    pub recovery_ms: AtomicU64,
-}
-
-impl DurableStats {
-    fn get(v: &AtomicU64) -> u64 {
-        v.load(Ordering::Relaxed)
-    }
-}
-
 /// The durable store: owns the journal, the snapshot directory, and the
 /// durable `name → spec` manifest. All methods are callable from any
 /// worker thread.
@@ -113,7 +90,8 @@ pub struct DurableStore {
     data_dir: PathBuf,
     journal: TracedMutex<Journal>,
     durable: TracedMutex<HashMap<String, String>>,
-    stats: DurableStats,
+    /// The owning server's table: recovery, snapshot and journal rows.
+    metrics: Arc<Metrics>,
 }
 
 impl DurableStore {
@@ -121,12 +99,24 @@ impl DurableStore {
     /// `data_dir`, running full recovery first: journal replay, snapshot
     /// CRC verification, quarantine of damaged files, compaction of a
     /// torn journal. Returns the store plus the recovered graphs for the
-    /// caller to re-prepare.
+    /// caller to re-prepare. The store counts into a table of its own.
     ///
     /// # Errors
     /// Environmental I/O failures only; damaged durability files are
     /// quarantined, never fatal.
     pub fn open(data_dir: impl AsRef<Path>) -> Result<(DurableStore, RecoveredState), StoreError> {
+        DurableStore::open_with_metrics(data_dir, Arc::default())
+    }
+
+    /// [`DurableStore::open`], counting the recovery and every later
+    /// snapshot and journal write into the server's `metrics`.
+    ///
+    /// # Errors
+    /// As [`DurableStore::open`].
+    pub(crate) fn open_with_metrics(
+        data_dir: impl AsRef<Path>,
+        metrics: Arc<Metrics>,
+    ) -> Result<(DurableStore, RecoveredState), StoreError> {
         let data_dir = data_dir.as_ref().to_path_buf();
         std::fs::create_dir_all(data_dir.join("snapshots")).map_err(io_err("data dir create"))?;
         // Freshly created directories need their parents synced too, or
@@ -137,21 +127,12 @@ impl DurableStore {
         let recovered = recovery::recover(&data_dir, false).map_err(io_err("recovery"))?;
         let journal =
             Journal::open(data_dir.join("journal.lotj")).map_err(io_err("journal open"))?;
-        let stats = DurableStats::default();
-        stats
-            .journal_replays
-            .store(recovered.report.journal_records, Ordering::Relaxed);
-        stats
+        let report = &recovered.report;
+        metrics.journal_replays.add(report.journal_records);
+        metrics
             .recovery_quarantined
-            .store(recovered.report.quarantined.len() as u64, Ordering::Relaxed);
-        stats
-            .recovery_ms
-            .store(recovered.report.recovery_ms, Ordering::Relaxed);
-        counters::add(Counter::JournalReplays, recovered.report.journal_records);
-        counters::add(
-            Counter::RecoveryQuarantined,
-            recovered.report.quarantined.len() as u64,
-        );
+            .add(report.quarantined.len() as u64);
+        metrics.recovery_ms.add(report.recovery_ms);
         let store = DurableStore {
             data_dir,
             journal: TracedMutex::new("serve.store.journal", journal),
@@ -159,7 +140,7 @@ impl DurableStore {
                 "serve.store.durable",
                 recovered.entries.iter().cloned().collect(),
             ),
-            stats,
+            metrics,
         };
         Ok((store, recovered))
     }
@@ -168,24 +149,6 @@ impl DurableStore {
     #[must_use]
     pub fn data_dir(&self) -> &Path {
         &self.data_dir
-    }
-
-    /// The always-on durability counters.
-    #[must_use]
-    pub fn stats(&self) -> &DurableStats {
-        &self.stats
-    }
-
-    /// Snapshot counter values as plain numbers, for `Stats` replies.
-    #[must_use]
-    pub fn stat_values(&self) -> (u64, u64, u64, u64, u64) {
-        (
-            DurableStats::get(&self.stats.snapshot_writes),
-            DurableStats::get(&self.stats.journal_appends),
-            DurableStats::get(&self.stats.journal_replays),
-            DurableStats::get(&self.stats.recovery_quarantined),
-            DurableStats::get(&self.stats.recovery_ms),
-        )
     }
 
     /// Names currently in the durable manifest, sorted.
@@ -277,8 +240,7 @@ impl DurableStore {
         journal::rewrite(journal.path(), &entries).map_err(io_err("journal rewrite"))?;
         let reopened = Journal::open(journal.path()).map_err(io_err("journal reopen"))?;
         *journal = reopened;
-        self.stats.journal_appends.fetch_add(1, Ordering::Relaxed);
-        counters::incr(Counter::JournalAppends);
+        self.metrics.journal_appends.incr();
 
         for (name, path) in recovery::snapshots_on_disk(&self.data_dir) {
             if !durable.contains_key(&name) {
@@ -312,8 +274,7 @@ impl DurableStore {
             .unwrap_or_else(PoisonError::into_inner)
             .append(record)
             .map_err(io_err("journal append"))?;
-        self.stats.journal_appends.fetch_add(1, Ordering::Relaxed);
-        counters::incr(Counter::JournalAppends);
+        self.metrics.journal_appends.incr();
         Ok(())
     }
 
@@ -346,8 +307,7 @@ impl DurableStore {
         fault_point!("serve.snapshot.rename").map_err(io_err("snapshot rename"))?;
         std::fs::rename(&tmp_path, &final_path).map_err(io_err("snapshot rename"))?;
         journal::sync_parent_dir(&final_path).map_err(io_err("snapshot dir fsync"))?;
-        self.stats.snapshot_writes.fetch_add(1, Ordering::Relaxed);
-        counters::incr(Counter::SnapshotWrites);
+        self.metrics.snapshot_writes.incr();
         Ok(())
     }
 }
@@ -442,12 +402,16 @@ mod tests {
         let dir = tmp_dir("reopen");
         let graph = Rmat::new(6, 4).generate(1);
         {
-            let (store, state) = DurableStore::open(&dir).unwrap();
+            let metrics = Arc::new(Metrics::default());
+            let (store, state) =
+                DurableStore::open_with_metrics(&dir, Arc::clone(&metrics)).unwrap();
             assert!(state.graphs.is_empty());
             store.record_register("g", "rmat:6:4:1", &graph).unwrap();
             assert!(store.is_durable("g"));
-            let (snaps, appends, ..) = store.stat_values();
-            assert_eq!((snaps, appends), (1, 1));
+            assert_eq!(
+                (metrics.snapshot_writes(), metrics.journal_appends()),
+                (1, 1)
+            );
         }
         let (store, state) = DurableStore::open(&dir).unwrap();
         assert_eq!(state.graphs.len(), 1);
@@ -460,7 +424,8 @@ mod tests {
     fn evict_removes_from_manifest_and_disk() {
         let dir = tmp_dir("evict");
         let graph = Rmat::new(6, 4).generate(1);
-        let (store, _) = DurableStore::open(&dir).unwrap();
+        let metrics = Arc::new(Metrics::default());
+        let (store, _) = DurableStore::open_with_metrics(&dir, Arc::clone(&metrics)).unwrap();
         store.record_register("g", "rmat:6:4:1", &graph).unwrap();
         let snap = store.snapshot_path("g");
         assert!(snap.exists());
@@ -468,10 +433,9 @@ mod tests {
         assert!(!store.is_durable("g"));
         assert!(!snap.exists());
         // Evicting a non-durable name is a no-op, not a journal record.
-        let (_, appends_before, ..) = store.stat_values();
+        let appends_before = metrics.journal_appends();
         store.record_evict("never-registered").unwrap();
-        let (_, appends_after, ..) = store.stat_values();
-        assert_eq!(appends_before, appends_after);
+        assert_eq!(metrics.journal_appends(), appends_before);
         drop(store);
         let (_, state) = DurableStore::open(&dir).unwrap();
         assert!(state.graphs.is_empty());
@@ -480,8 +444,7 @@ mod tests {
 
     #[test]
     fn checkpoint_never_loses_concurrent_registrations() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
+        use std::sync::atomic::{AtomicBool, Ordering};
 
         let dir = tmp_dir("race");
         let graph = Rmat::new(6, 4).generate(1);

@@ -290,3 +290,35 @@ fn stats_report_event_loop_shape() {
     handle.shutdown();
     handle.wait();
 }
+
+#[test]
+fn a_stalled_reader_blocks_a_write_and_the_table_counts_it() {
+    // A queue deep enough that no pipelined request is refused.
+    let handle = start_daemon(ServeConfig {
+        queue_capacity: 256,
+        ..base_config()
+    });
+    // 256 replies of 8,192 counts: 16 MiB, more than the loopback socket
+    // buffers hold for a client that does not read.
+    let request = encode(&Request::PerVertex {
+        name: "rmat:13:8:5".into(),
+        start: 0,
+        end: 0,
+        deadline_ms: NO_DEADLINE,
+    });
+    let mut stream = raw_connect(&handle);
+    stream.write_all(&request.repeat(256)).expect("write");
+    let (table, waited) = (handle.state().stats(), Instant::now());
+    while table.partial_writes() == 0 {
+        assert!(waited.elapsed() < Duration::from_secs(60), "never blocked");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    // The blocked writes resume: every reply arrives whole.
+    for i in 0..256 {
+        match read_response(&mut stream).expect("reply") {
+            Response::PerVertex { counts, .. } => assert_eq!(counts.len(), 1 << 13, "{i}"),
+            other => panic!("expected PerVertex {i}, got {other:?}"),
+        }
+    }
+    assert_daemon_healthy(&handle);
+}

@@ -32,54 +32,17 @@ pub enum Counter {
     GuardStops,
     /// Worker panics confined by phase isolation.
     PhasePanics,
-    /// Requests answered successfully by the serving layer.
-    RequestsServed,
-    /// Requests rejected by admission control (bounded queue full).
-    RequestsOverloaded,
-    /// Requests that expired their deadline before or during execution.
-    RequestsDeadlineExpired,
-    /// Graph-registry lookups served from the preprocessed cache.
-    RegistryHits,
-    /// Graph-registry lookups that had to build or load the graph.
-    RegistryMisses,
     /// Chunks executed by the work-stealing pool (drivers and workers).
     PoolTasks,
     /// Deque entries stolen by an idle worker (steal-half events).
     PoolSteals,
     /// Times a worker parked on the condvar for lack of work.
     PoolParks,
-    /// Graph snapshots durably written (temp + fsync + rename).
-    SnapshotWrites,
-    /// Records appended and synced to the manifest journal.
-    JournalAppends,
-    /// Journal records replayed during startup recovery.
-    JournalReplays,
-    /// Damaged durability files quarantined during recovery.
-    RecoveryQuarantined,
-    /// Connections admitted by the serve acceptor.
-    ConnsAccepted,
-    /// Readiness events delivered to the serve event loops.
-    ReadinessEvents,
-    /// Times a serve event loop woke from its poller wait.
-    LoopWakeups,
-    /// Socket writes that could not complete in one call (resumed when
-    /// the socket signals writable again).
-    PartialWrites,
-    /// Shard calls fanned out by a cluster coordinator.
-    ClusterFanoutCalls,
-    /// Fanned-out shard calls that resolved to an error (dead, slow, or
-    /// desynced shard).
-    ClusterShardFailures,
-    /// Degraded partial `Count` answers a coordinator returned.
-    ClusterPartialAnswers,
-    /// Malformed shard-map journal entries tolerated during coordinator
-    /// recovery.
-    ClusterMapRecoveryErrors,
 }
 
 impl Counter {
     /// Every counter, in schema order.
-    pub const ALL: [Counter; 30] = [
+    pub const ALL: [Counter; 13] = [
         Counter::Intersections,
         Counter::MergeSteps,
         Counter::FruitlessIntersections,
@@ -90,26 +53,9 @@ impl Counter {
         Counter::DegradedRuns,
         Counter::GuardStops,
         Counter::PhasePanics,
-        Counter::RequestsServed,
-        Counter::RequestsOverloaded,
-        Counter::RequestsDeadlineExpired,
-        Counter::RegistryHits,
-        Counter::RegistryMisses,
         Counter::PoolTasks,
         Counter::PoolSteals,
         Counter::PoolParks,
-        Counter::SnapshotWrites,
-        Counter::JournalAppends,
-        Counter::JournalReplays,
-        Counter::RecoveryQuarantined,
-        Counter::ConnsAccepted,
-        Counter::ReadinessEvents,
-        Counter::LoopWakeups,
-        Counter::PartialWrites,
-        Counter::ClusterFanoutCalls,
-        Counter::ClusterShardFailures,
-        Counter::ClusterPartialAnswers,
-        Counter::ClusterMapRecoveryErrors,
     ];
 
     /// The stable snake_case name used as the JSON key.
@@ -126,26 +72,9 @@ impl Counter {
             Counter::DegradedRuns => "degraded_runs",
             Counter::GuardStops => "guard_stops",
             Counter::PhasePanics => "phase_panics",
-            Counter::RequestsServed => "requests_served",
-            Counter::RequestsOverloaded => "requests_overloaded",
-            Counter::RequestsDeadlineExpired => "requests_deadline_expired",
-            Counter::RegistryHits => "registry_hits",
-            Counter::RegistryMisses => "registry_misses",
             Counter::PoolTasks => "pool_tasks",
             Counter::PoolSteals => "pool_steals",
             Counter::PoolParks => "pool_parks",
-            Counter::SnapshotWrites => "snapshot_writes",
-            Counter::JournalAppends => "journal_appends",
-            Counter::JournalReplays => "journal_replays",
-            Counter::RecoveryQuarantined => "recovery_quarantined",
-            Counter::ConnsAccepted => "conns_accepted",
-            Counter::ReadinessEvents => "readiness_events",
-            Counter::LoopWakeups => "loop_wakeups",
-            Counter::PartialWrites => "partial_writes",
-            Counter::ClusterFanoutCalls => "cluster_fanout_calls",
-            Counter::ClusterShardFailures => "cluster_shard_failures",
-            Counter::ClusterPartialAnswers => "cluster_partial_answers",
-            Counter::ClusterMapRecoveryErrors => "cluster_map_recovery_errors",
         }
     }
 
